@@ -19,7 +19,7 @@ from . import config as cfgmod
 from .ctc import ctc_grad
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .decode import greedy_decode, prefix_beam_decode
-from .encoder import forward, init_params, load_checkpoint
+from .encoder import forward, init_params, load_checkpoint, param_shapes
 from .errors import CapacityError, CtcKitError, InfeasibleTargetError, InvalidInputError
 from .harness import (
     OUT_DIR_ENV,
@@ -147,9 +147,11 @@ def _cmd_train(args) -> int:
         args, f"run_{objective}_seed{seed}.json"
     )
     record.save(record_path)
+    final = record.loss_curve[-1]
+    final_text = "None" if final is None else f"{final:.4f}"
     print(
         f"{objective} seed={seed} epochs={record.epochs} "
-        f"batch={record.batch_size} final_loss={record.loss_curve[-1]:.4f} "
+        f"batch={record.batch_size} final_loss={final_text} "
         f"dev_ter={record.dev_greedy_ter:.4f} test_ter={record.test_greedy_ter:.4f} "
         f"skipped={record.skipped_samples}"
     )
@@ -161,8 +163,9 @@ def _cmd_evaluate(args) -> int:
     from .harness import evaluate_model
 
     flat = _resolve(args)
-    params, meta = load_checkpoint(args.load)
+    params, _ = load_checkpoint(args.load)
     dataset = _load_or_generate(args, flat)
+    _check_checkpoint_shapes(args.load, params, flat, dataset)
     report = evaluate_model(params, dataset, args.split, flat)
     print(
         f"split={args.split} greedy_ter={report.greedy_ter:.4f} "
@@ -171,6 +174,22 @@ def _cmd_evaluate(args) -> int:
     print(CSV_HEADER)
     print(report.peak.csv_row())
     return 0
+
+
+def _check_checkpoint_shapes(path, params, flat, dataset) -> None:
+    """Reject a checkpoint whose tensor names or shapes differ from the
+    ones the resolved model config reads."""
+    cfg = cfgmod.encoder_config(flat)
+    want = param_shapes(cfg, dataset.config.feature_dim, dataset.vocab.extended_size)
+    got = {name: params[name].shape for name in params.names()}
+    names = sorted(want.keys() | got.keys())
+    bad = [f"{k} {got.get(k)} vs {want.get(k)}" for k in names
+           if got.get(k) != want.get(k)]
+    if bad:
+        raise InvalidInputError(
+            f"checkpoint {path} does not match the model config (checkpoint "
+            f"vs config shape, None if absent): {', '.join(bad)}"
+        )
 
 
 def _decode_vocab(width: int) -> Vocabulary:

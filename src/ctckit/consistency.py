@@ -99,11 +99,6 @@ def _frame_weights(
     return mask.astype(np.float64)
 
 
-def _check_pair(za: DistributionLattice, zb: DistributionLattice) -> None:
-    if za.probs.shape != zb.probs.shape:
-        raise InvalidInputError("branch lattices must share one shape")
-
-
 def cr_loss(
     za: DistributionLattice,
     zb: DistributionLattice,
@@ -117,65 +112,44 @@ def cr_loss(
     only if it passes branch a's own filter, and symmetrically for b.
     Target-side zero probabilities contribute zero by convention; softmax
     outputs are strictly positive, but serialized lattices may carry zeros.
+
+    hard_label_ce pushes each branch toward the other branch's per-frame
+    argmax token (ties to the lowest index). Its targets are always
+    detached; target_mode does not apply to it.
     """
+    if za.probs.shape != zb.probs.shape:
+        raise InvalidInputError("branch lattices must share one shape")
+    T = za.num_frames
+    wa = _frame_weights(masks_a, cfg.frame_filter, T)
+    wb = _frame_weights(masks_b, cfg.frame_filter, T)
+    pa, pb = za.probs, zb.probs
+
     if cfg.distance == "hard_label_ce":
-        return hard_label_cr(za, zb, masks_a, masks_b, cfg)
-    _check_pair(za, zb)
-    T = za.num_frames
-    wa = _frame_weights(masks_a, cfg.frame_filter, T)
-    wb = _frame_weights(masks_b, cfg.frame_filter, T)
-    pa, pb = za.probs, zb.probs
-    la, lb = za.log_probs, zb.log_probs
+        rows = np.arange(T)
+        tgt_for_a = np.argmax(pb, axis=1)
+        tgt_for_b = np.argmax(pa, axis=1)
+        ce_a = -za.log_probs[rows, tgt_for_a]
+        ce_b = -zb.log_probs[rows, tgt_for_b]
+        loss = 0.5 * (float(wa @ ce_a) + float(wb @ ce_b))
 
-    diff = lb - la
-    kl_b_to_a = np.where(pb > 0.0, pb * diff, 0.0).sum(axis=1)
-    kl_a_to_b = np.where(pa > 0.0, pa * -diff, 0.0).sum(axis=1)
+        onehot_for_a = np.zeros_like(pa)
+        onehot_for_a[rows, tgt_for_a] = 1.0
+        onehot_for_b = np.zeros_like(pb)
+        onehot_for_b[rows, tgt_for_b] = 1.0
+        grad_a = 0.5 * wa[:, None] * (pa - onehot_for_a)
+        grad_b = 0.5 * wb[:, None] * (pb - onehot_for_b)
+    else:
+        diff = zb.log_probs - za.log_probs
+        kl_b_to_a = np.where(pb > 0.0, pb * diff, 0.0).sum(axis=1)
+        kl_a_to_b = np.where(pa > 0.0, pa * -diff, 0.0).sum(axis=1)
+        loss = 0.5 * (float(wa @ kl_b_to_a) + float(wb @ kl_a_to_b))
 
-    loss = 0.5 * (float(wa @ kl_b_to_a) + float(wb @ kl_a_to_b))
-
-    grad_a = 0.5 * wa[:, None] * (pa - pb)
-    grad_b = 0.5 * wb[:, None] * (pb - pa)
-    if cfg.target_mode == "flow_gradient":
-        # target-side term of KL(p || q) wrt p's logits: p * (log(p/q) - KL)
-        grad_b = grad_b + 0.5 * wa[:, None] * pb * (diff - kl_b_to_a[:, None])
-        grad_a = grad_a + 0.5 * wb[:, None] * pa * (-diff - kl_a_to_b[:, None])
-
-    if cfg.normalize_by_frames:
-        loss /= T
-        grad_a = grad_a / T
-        grad_b = grad_b / T
-    return CrLossResult(loss, grad_a, grad_b)
-
-
-def hard_label_cr(
-    za: DistributionLattice,
-    zb: DistributionLattice,
-    masks_a: np.ndarray | None,
-    masks_b: np.ndarray | None,
-    cfg: CrConfig,
-) -> CrLossResult:
-    """Cross-entropy variant: each branch is pushed toward the other
-    branch's per-frame argmax token (ties to the lowest index). Targets are
-    always detached; target_mode does not apply here."""
-    _check_pair(za, zb)
-    T = za.num_frames
-    wa = _frame_weights(masks_a, cfg.frame_filter, T)
-    wb = _frame_weights(masks_b, cfg.frame_filter, T)
-    pa, pb = za.probs, zb.probs
-    rows = np.arange(T)
-    tgt_for_a = np.argmax(pb, axis=1)
-    tgt_for_b = np.argmax(pa, axis=1)
-
-    ce_a = -za.log_probs[rows, tgt_for_a]
-    ce_b = -zb.log_probs[rows, tgt_for_b]
-    loss = 0.5 * (float(wa @ ce_a) + float(wb @ ce_b))
-
-    onehot_for_a = np.zeros_like(pa)
-    onehot_for_a[rows, tgt_for_a] = 1.0
-    onehot_for_b = np.zeros_like(pb)
-    onehot_for_b[rows, tgt_for_b] = 1.0
-    grad_a = 0.5 * wa[:, None] * (pa - onehot_for_a)
-    grad_b = 0.5 * wb[:, None] * (pb - onehot_for_b)
+        grad_a = 0.5 * wa[:, None] * (pa - pb)
+        grad_b = 0.5 * wb[:, None] * (pb - pa)
+        if cfg.target_mode == "flow_gradient":
+            # target-side term of KL(p || q) wrt p's logits: p * (log(p/q) - KL)
+            grad_b = grad_b + 0.5 * wa[:, None] * pb * (diff - kl_b_to_a[:, None])
+            grad_a = grad_a + 0.5 * wb[:, None] * pa * (-diff - kl_a_to_b[:, None])
 
     if cfg.normalize_by_frames:
         loss /= T
@@ -225,52 +199,4 @@ def paired_loss_from_logits(
     grad_b = 0.5 * ctc_grad_b + cfg.alpha * cr.grad_b
     return TotalLossResult(
         True, loss, res_a.loss, res_b.loss, cr.loss, grad_a, grad_b
-    )
-
-
-def total_loss(
-    view_a,
-    view_b,
-    y: LabelSequence,
-    model_forward,
-    vocab: Vocabulary,
-    cfg: CrConfig,
-) -> TotalLossResult:
-    """Paired objective for two augmented views through a shared encoder.
-
-    ``model_forward`` maps a feature matrix to a LogitLattice (or a raw
-    logit array). When the encoder downsamples, each view's time-mask
-    vector is pooled (any-masked wins) to the logit frame rate before the
-    frame filters see it.
-    """
-    logits_a = _as_logits(model_forward(view_a.features))
-    logits_b = _as_logits(model_forward(view_b.features))
-    if logits_a.num_frames != logits_b.num_frames:
-        raise InvalidInputError("branches produced different frame counts")
-    masks_a = _align_mask(view_a.time_masked, logits_a.num_frames)
-    masks_b = _align_mask(view_b.time_masked, logits_b.num_frames)
-    return paired_loss_from_logits(
-        logits_a, logits_b, y, vocab, masks_a, masks_b, cfg
-    )
-
-
-def _as_logits(value) -> LogitLattice:
-    if isinstance(value, LogitLattice):
-        return value
-    return LogitLattice(np.asarray(value, dtype=np.float64))
-
-
-def _align_mask(mask: np.ndarray, num_frames: int) -> np.ndarray:
-    from .augment import pool_mask_any
-
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape[0] == num_frames:
-        return mask
-    if mask.shape[0] > num_frames >= 1:
-        factor = -(-mask.shape[0] // num_frames)
-        pooled = pool_mask_any(mask, factor)
-        if pooled.shape[0] == num_frames:
-            return pooled
-    raise InvalidInputError(
-        f"cannot align a {mask.shape[0]}-frame mask to {num_frames} output frames"
     )

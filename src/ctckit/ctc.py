@@ -39,39 +39,19 @@ ALPHA_BETA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ExtendedTargets:
-    """Target labels interleaved with blanks, as lattice column indices."""
-
-    sequence: tuple[int, ...]
-
-    @classmethod
-    def build(cls, y: LabelSequence, vocab: Vocabulary) -> "ExtendedTargets":
-        y.validate_against(vocab)
-        seq = [BLANK]
-        for label in y:
-            seq.append(vocab.lattice_index(label))
-            seq.append(BLANK)
-        return cls(tuple(seq))
-
-    def __len__(self) -> int:
-        return len(self.sequence)
-
-
-@dataclass(frozen=True)
 class ForwardBackwardTable:
-    """Alpha/beta tables plus the log-likelihood read out from each end."""
+    """Alpha/beta tables over the extended target, whose lattice columns
+    (blank, y1, blank, ..., blank) are in ``extended``, plus the
+    log-likelihood read out at the last frame."""
 
     alpha: np.ndarray
     beta: np.ndarray
-    extended: ExtendedTargets
+    extended: np.ndarray
     log_likelihood: float
-    log_likelihood_from_beta: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("alpha", "beta", "extended"):
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -136,7 +116,8 @@ def ctc_loss(
     if not is_feasible(T, y):
         return CtcLossResult(False, math.inf, None)
 
-    ext = np.array(ExtendedTargets.build(y, vocab).sequence, dtype=np.int64)
+    ext = np.full(2 * len(y) + 1, BLANK, dtype=np.int64)
+    ext[1::2] = [vocab.lattice_index(label) for label in y]
     S = len(ext)
     emit = dist.log_probs[:, ext]  # T x S
     allow = _skip_allowed(ext)
@@ -170,17 +151,7 @@ def ctc_loss(
             skip[: S - 2] = np.where(allow_from[: S - 2], nxt[2:], LOG_ZERO)
         beta[t] = _log_add3(nxt, step, skip)
 
-    ll_beta = beta[0, 0] + emit[0, 0]
-    if S > 1:
-        ll_beta = log_add_scalar(ll_beta, beta[0, 1] + emit[0, 1])
-
-    table = ForwardBackwardTable(
-        alpha=alpha,
-        beta=beta,
-        extended=ExtendedTargets(tuple(int(v) for v in ext)),
-        log_likelihood=float(ll_alpha),
-        log_likelihood_from_beta=float(ll_beta),
-    )
+    table = ForwardBackwardTable(alpha, beta, ext, float(ll_alpha))
     return CtcLossResult(True, float(-ll_alpha), table)
 
 
@@ -189,10 +160,9 @@ def occupancy_marginals(
 ) -> np.ndarray:
     """Posterior probability that frame t is aligned to lattice column k,
     a T x |V'| matrix with rows summing to 1."""
-    ext = np.array(table.extended.sequence, dtype=np.int64)
     gamma_states = np.exp(table.alpha + table.beta - table.log_likelihood)
     out = np.zeros((dist.num_frames, dist.extended_size))
-    for s, k in enumerate(ext):
+    for s, k in enumerate(table.extended):
         out[:, k] += gamma_states[:, s]
     return out
 

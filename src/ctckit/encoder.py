@@ -14,6 +14,7 @@ dropout mask, then the layer-drop coin), so a seeded run is bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -76,6 +77,21 @@ class ParameterSet:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
 
+def param_shapes(
+    cfg: EncoderConfig, feature_dim: int, num_classes: int
+) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor the encoder reads, in init order."""
+    H = cfg.hidden_dim
+    taps = 2 * cfg.context_radius + 1
+    shapes = {"in.w": (feature_dim, H), "in.b": (H,)}
+    for l in range(cfg.layers):
+        shapes[f"layer{l}.w"] = (taps, H, H)
+        shapes[f"layer{l}.b"] = (H,)
+    shapes["out.w"] = (H, num_classes)
+    shapes["out.b"] = (num_classes,)
+    return shapes
+
+
 def init_params(
     cfg: EncoderConfig,
     feature_dim: int,
@@ -85,16 +101,13 @@ def init_params(
     """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
     if feature_dim < 1 or num_classes < 2:
         raise InvalidInputError("feature_dim >= 1 and num_classes >= 2 required")
-    H = cfg.hidden_dim
-    taps = 2 * cfg.context_radius + 1
     t: dict[str, np.ndarray] = {}
-    t["in.w"] = rng.standard_normal((feature_dim, H)) / np.sqrt(feature_dim)
-    t["in.b"] = np.zeros(H)
-    for l in range(cfg.layers):
-        t[f"layer{l}.w"] = rng.standard_normal((taps, H, H)) / np.sqrt(taps * H)
-        t[f"layer{l}.b"] = np.zeros(H)
-    t["out.w"] = rng.standard_normal((H, num_classes)) / np.sqrt(H)
-    t["out.b"] = np.zeros(num_classes)
+    for name, shape in param_shapes(cfg, feature_dim, num_classes).items():
+        if name.endswith(".b"):
+            t[name] = np.zeros(shape)
+        else:
+            fan_in = math.prod(shape[:-1])
+            t[name] = rng.standard_normal(shape) / np.sqrt(fan_in)
     return ParameterSet(t)
 
 

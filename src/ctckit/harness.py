@@ -23,7 +23,7 @@ import numpy as np
 from . import config as cfgmod
 from .augment import augment, make_views, pool_mask_any
 from .consistency import paired_loss_from_logits
-from .ctc import ctc_loss, is_feasible, occupancy_marginals
+from .ctc import ctc_loss, occupancy_marginals
 from .dataset import Dataset, generate_dataset
 from .decode import greedy_decode, prefix_beam_decode
 from .encoder import (
@@ -79,7 +79,7 @@ def default_out_dir() -> str:
 @dataclass
 class TrainOutcome:
     params: ParameterSet
-    loss_curve: list[float]
+    loss_curve: list[float | None]  # None: every sample of the epoch skipped
     skipped: int
 
 
@@ -103,7 +103,7 @@ class RunRecord:
     config: dict[str, object]
     epochs: int
     batch_size: int
-    loss_curve: list[float]
+    loss_curve: list[float | None]
     skipped_samples: int
     dev_greedy_ter: float
     dev_prefix_ter: float
@@ -114,7 +114,7 @@ class RunRecord:
     notes: dict[str, object] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
@@ -180,7 +180,7 @@ def train_model(
     epochs, batch_size = effective_schedule(flat, objective)
     samples = dataset.train
     skipped = 0
-    curve: list[float] = []
+    curve: list[float | None] = []
 
     for _ in range(epochs):
         order = step_rng.permutation(len(samples))
@@ -207,7 +207,7 @@ def train_model(
                 g /= used
             params, opt_state = _grad_step(params, grads, flat, opt_state)
             epoch_count += used
-        curve.append(epoch_loss / epoch_count if epoch_count else float("nan"))
+        curve.append(epoch_loss / epoch_count if epoch_count else None)
     return TrainOutcome(params, curve, skipped)
 
 
@@ -217,36 +217,32 @@ def _sample_grads(
     """Loss and parameter gradients for one sample; None when infeasible."""
     y = sample.labels
     if objective == "cr_ctc":
-        view_a, view_b = make_views(sample.features, aug_cfg, rng)
-        logits_a, tape_a = forward(params, view_a.features, enc_cfg, True, rng)
-        logits_b, tape_b = forward(params, view_b.features, enc_cfg, True, rng)
-        mask_a = pool_mask_any(view_a.time_masked, enc_cfg.downsample_factor)
-        mask_b = pool_mask_any(view_b.time_masked, enc_cfg.downsample_factor)
-        res = paired_loss_from_logits(
-            logits_a, logits_b, y, vocab, mask_a, mask_b, cr_cfg
-        )
-        if not res.feasible:
-            return None
-        grads = backward(params, tape_a, res.grad_a)
-        accumulate(grads, backward(params, tape_b, res.grad_b))
-        return res.loss, grads
+        views = make_views(sample.features, aug_cfg, rng)
+    else:
+        views = (augment(sample.features, aug_cfg, rng),)
+    passes = [forward(params, v.features, enc_cfg, True, rng) for v in views]
+    logits, tapes = zip(*passes)
 
-    view = augment(sample.features, aug_cfg, rng)
-    logits, tape = forward(params, view.features, enc_cfg, True, rng)
-    if objective == "sr_ctc":
-        res = sr_loss_from_logits(logits, y, vocab, sr_cfg)
-        if not res.feasible:
-            return None
-        return res.loss, backward(params, tape, res.grad)
-
-    dist = softmax_rows(logits)
-    if not is_feasible(dist.num_frames, y):
-        return None
-    res = ctc_loss(dist, y, vocab)
+    if objective == "cr_ctc":
+        factor = enc_cfg.downsample_factor
+        masks = [pool_mask_any(v.time_masked, factor) for v in views]
+        res = paired_loss_from_logits(*logits, y, vocab, *masks, cr_cfg)
+        dlogits = (res.grad_a, res.grad_b)
+    elif objective == "sr_ctc":
+        res = sr_loss_from_logits(logits[0], y, vocab, sr_cfg)
+        dlogits = (res.grad,)
+    else:
+        dist = softmax_rows(logits[0])
+        res = ctc_loss(dist, y, vocab)
+        if res.feasible:
+            dlogits = (dist.probs - occupancy_marginals(dist, res.table),)
     if not res.feasible:
         return None
-    grad = dist.probs - occupancy_marginals(dist, res.table)
-    return res.loss, backward(params, tape, grad)
+
+    grads = backward(params, tapes[0], dlogits[0])
+    for tape, dl in zip(tapes[1:], dlogits[1:]):
+        accumulate(grads, backward(params, tape, dl))
+    return res.loss, grads
 
 
 def evaluate_model(

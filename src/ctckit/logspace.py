@@ -15,21 +15,12 @@ LOG_ZERO = -1.0e30
 LOG_ZERO_THRESHOLD = -0.5e30
 
 
-def is_log_zero(x: float) -> bool:
-    return x <= LOG_ZERO_THRESHOLD
-
-
 def log_of(p: np.ndarray) -> np.ndarray:
     """Elementwise log with zeros mapped to LOG_ZERO instead of -inf."""
     p = np.asarray(p, dtype=np.float64)
     out = np.full(p.shape, LOG_ZERO, dtype=np.float64)
     np.log(p, out=out, where=p > 0.0)
     return out
-
-
-def log_add(a, b):
-    """Elementwise log(exp(a) + exp(b)), saturating at the sentinel."""
-    return np.logaddexp(a, b)
 
 
 def log_add_scalar(a: float, b: float) -> float:
@@ -41,14 +32,3 @@ def log_add_scalar(a: float, b: float) -> float:
     if a < b:
         a, b = b, a
     return a + math.log1p(math.exp(b - a))
-
-
-def log_sum(values: np.ndarray) -> float:
-    """log(sum(exp(values))) along the last axis, sentinel-safe."""
-    values = np.asarray(values, dtype=np.float64)
-    m = values.max(axis=-1, keepdims=True)
-    safe_m = np.where(m <= LOG_ZERO_THRESHOLD, 0.0, m)
-    out = np.squeeze(safe_m, axis=-1) + np.log(
-        np.exp(values - safe_m).sum(axis=-1)
-    )
-    return np.where(np.squeeze(m, axis=-1) <= LOG_ZERO_THRESHOLD, LOG_ZERO, out)

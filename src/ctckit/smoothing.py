@@ -115,20 +115,3 @@ def sr_loss_from_logits(
     loss = res.loss + cfg.beta * penalty
     grad = ctc_grad + cfg.beta * pen_grad
     return SrLossResult(True, loss, res.loss, penalty, grad)
-
-
-def sr_total_loss(
-    x: np.ndarray,
-    y: LabelSequence,
-    model_forward,
-    vocab: Vocabulary,
-    cfg: SrConfig,
-) -> SrLossResult:
-    """Smoothness-regularized objective for one input through an encoder.
-
-    ``model_forward`` maps a feature matrix to a LogitLattice (or raw
-    logit array)."""
-    logits = model_forward(np.asarray(x, dtype=np.float64))
-    if not isinstance(logits, LogitLattice):
-        logits = LogitLattice(np.asarray(logits, dtype=np.float64))
-    return sr_loss_from_logits(logits, y, vocab, cfg)

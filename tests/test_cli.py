@@ -88,6 +88,24 @@ class TestTrainEvaluate:
         code = main(["train", "--data", str(data), "--seed", "0"] + TINY_SETS)
         assert code == 0
 
+    @pytest.mark.parametrize("layers", ["3", "1"])
+    def test_checkpoint_config_mismatch_rejected(self, out_env, capsys, layers):
+        ckpt = out_env / "model.ckpt"
+        train = ["train", "--seed", "0", "--save", str(ckpt)] + TINY_SETS
+        assert main(train + ["--set", "model.layers=2"]) == 0
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--load", str(ckpt)]
+            + TINY_SETS
+            + ["--set", f"model.layers={layers}"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "ter=" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: checkpoint ")
+
     def test_missing_checkpoint_is_invalid_input(self, out_env, capsys):
         code = main(["evaluate", "--load", str(out_env / "nope.ckpt")] + TINY_SETS)
         assert code == 1

@@ -14,9 +14,7 @@ from ctckit import (
 from ctckit.consistency import (
     CrConfig,
     cr_loss,
-    hard_label_cr,
     paired_loss_from_logits,
-    total_loss,
 )
 from ctckit.errors import InvalidInputError
 
@@ -209,7 +207,7 @@ def test_hard_label_matches_argmax_ce():
     rng = np.random.default_rng(21)
     za = random_distribution(rng, 6, 3)
     zb = random_distribution(rng, 6, 3)
-    res = hard_label_cr(za, zb, None, None, CrConfig(distance="hard_label_ce"))
+    res = cr_loss(za, zb, None, None, CrConfig(distance="hard_label_ce"))
     expected = 0.0
     for t in range(6):
         expected += -0.5 * za.log_probs[t, int(np.argmax(zb.probs[t]))]
@@ -220,7 +218,7 @@ def test_hard_label_matches_argmax_ce():
 def test_hard_label_near_one_hot_small_loss():
     delta = 1e-3
     za = dist_of([[1 - delta, delta]])
-    res = hard_label_cr(za, za, None, None, CrConfig(distance="hard_label_ce"))
+    res = cr_loss(za, za, None, None, CrConfig(distance="hard_label_ce"))
     assert res.loss == pytest.approx(-math.log(1 - delta), abs=1e-12)
     assert res.loss == pytest.approx(delta, rel=1e-2)
 
@@ -238,16 +236,6 @@ def test_hard_label_grad_finite_difference():
 
     coords = [(int(rng.integers(5)), int(rng.integers(3))) for _ in range(10)]
     fd_check(loss_at, res.grad_a, la, coords)
-
-
-def test_cr_loss_dispatches_on_distance():
-    rng = np.random.default_rng(23)
-    za = random_distribution(rng, 4, 3)
-    zb = random_distribution(rng, 4, 3)
-    cfg = CrConfig(distance="hard_label_ce")
-    assert cr_loss(za, zb, None, None, cfg).loss == pytest.approx(
-        hard_label_cr(za, zb, None, None, cfg).loss
-    )
 
 
 def test_paired_loss_identical_views_reduces_to_ctc():
@@ -331,35 +319,22 @@ def test_paired_loss_grads_finite_difference_stop_mode():
 
 
 def test_total_loss_through_model_forward():
-    from ctckit.augment import AugmentedView
-
     rng = np.random.default_rng(32)
     x = rng.normal(size=(6, 4))
     W = rng.normal(size=(4, 3))
-
-    def fwd(feats):
-        return feats @ W
-
-    va = AugmentedView(x, np.zeros(6, dtype=bool))
-    vb = AugmentedView(x + 0.1, np.zeros(6, dtype=bool))
-    res = total_loss(va, vb, LabelSequence((0,)), fwd, VAB, CrConfig())
+    mask = np.zeros(6, dtype=bool)
+    res = paired_loss_from_logits(
+        LogitLattice(x @ W), LogitLattice((x + 0.1) @ W), LabelSequence((0,)),
+        VAB, mask, mask, CrConfig(),
+    )
     assert res.feasible
     assert res.loss > 0
     assert res.grad_a.shape == (6, 3)
 
 
 def test_total_loss_frame_count_mismatch_rejected():
-    from ctckit.augment import AugmentedView
-
-    rng = np.random.default_rng(33)
-    x = rng.normal(size=(6, 4))
-    calls = []
-
-    def fwd(feats):
-        calls.append(1)
-        T = 6 if len(calls) == 1 else 5
-        return np.zeros((T, 3))
-
-    va = AugmentedView(x, np.zeros(6, dtype=bool))
     with pytest.raises(InvalidInputError):
-        total_loss(va, va, LabelSequence((0,)), fwd, VAB, CrConfig())
+        paired_loss_from_logits(
+            LogitLattice(np.zeros((6, 3))), LogitLattice(np.zeros((5, 3))),
+            LabelSequence((0,)), VAB, None, None, CrConfig(),
+        )

@@ -17,6 +17,7 @@ from ctckit.harness import (
     RunRecord,
     effective_schedule,
     evaluate_model,
+    rerun_from_record,
     run_experiment,
     sweep,
     train_model,
@@ -159,6 +160,35 @@ class TestRunRecord:
             "num_blank_frames",
             "num_nonblank_frames",
         }
+
+    def test_rerun_from_saved_record_is_identical(self, tmp_path):
+        flat = cfgmod.resolve("smoke", assignments=TINY)
+        record, _ = run_experiment("cr_ctc", flat, seed=4)
+        path = tmp_path / "run.json"
+        record.save(path)
+        again = rerun_from_record(RunRecord.load(path))
+        assert again.loss_curve == record.loss_curve
+        assert again.skipped_samples == record.skipped_samples
+        for name in ("dev_greedy_ter", "dev_prefix_ter",
+                     "test_greedy_ter", "test_prefix_ter"):
+            assert getattr(again, name) == getattr(record, name)
+
+    def test_all_skipped_epoch_saves_strict_json(self, tmp_path, tiny_flat, tiny_ds):
+        # labels of 3+ tokens cannot fit in the 1-2 frames left after
+        # 16x downsampling, so every sample of every epoch is skipped
+        flat = dict(tiny_flat, **{"model.downsample_factor": 16})
+        record, _ = run_experiment("ctc", flat, seed=0, dataset=tiny_ds)
+        assert record.skipped_samples == 4 * len(tiny_ds.train)
+        assert record.loss_curve == [None] * 4
+        path = tmp_path / "run.json"
+        record.save(path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["loss_curve"] == [None] * 4
+        assert RunRecord.load(path) == record
 
     def test_dataset_config_mismatch(self, tiny_flat, tiny_ds):
         flat = dict(tiny_flat, **{"data.vocab_size": 5})

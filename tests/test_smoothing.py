@@ -17,7 +17,6 @@ from ctckit.smoothing import (
     smooth_lattice,
     sr_loss_from_logits,
     sr_penalty,
-    sr_total_loss,
 )
 
 from conftest import random_distribution
@@ -158,6 +157,6 @@ def test_sr_total_loss_through_model_forward():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(6, 4))
     W = rng.normal(size=(4, 3))
-    res = sr_total_loss(x, LabelSequence((0,)), lambda f: f @ W, VAB, SrConfig())
+    res = sr_loss_from_logits(LogitLattice(x @ W), LabelSequence((0,)), VAB, SrConfig())
     assert res.feasible
     assert res.grad.shape == (6, 3)
