@@ -164,15 +164,21 @@ def _apply_time_masks(
     return masked
 
 
-def augment(
-    x: np.ndarray, cfg: SpecAugmentConfig, rng: np.random.Generator
+def _masked_view(
+    warped: np.ndarray, cfg: SpecAugmentConfig, rng: np.random.Generator
 ) -> AugmentedView:
-    """Single augmented view: warp, then frequency and time masks."""
-    warped = time_warp(x, cfg.warp_factor, rng)
+    """Copy of the warped features with frequency, then time, masks drawn."""
     feats = warped.copy()
     _apply_freq_masks(feats, cfg, rng)
     masked = _apply_time_masks(feats, cfg, rng)
     return AugmentedView(feats, masked)
+
+
+def augment(
+    x: np.ndarray, cfg: SpecAugmentConfig, rng: np.random.Generator
+) -> AugmentedView:
+    """Single augmented view: warp, then frequency and time masks."""
+    return _masked_view(time_warp(x, cfg.warp_factor, rng), cfg, rng)
 
 
 def make_views(
@@ -181,13 +187,8 @@ def make_views(
     """Two views for consistency training: one shared time warp, then
     independently drawn frequency and time masks per view."""
     warped = time_warp(x, cfg.warp_factor, rng)
-    views = []
-    for _ in range(2):
-        feats = warped.copy()
-        _apply_freq_masks(feats, cfg, rng)
-        masked = _apply_time_masks(feats, cfg, rng)
-        views.append(AugmentedView(feats, masked))
-    return views[0], views[1]
+    first = _masked_view(warped, cfg, rng)
+    return first, _masked_view(warped, cfg, rng)
 
 
 def pool_mask_any(mask: np.ndarray, factor: int) -> np.ndarray:
@@ -199,9 +200,4 @@ def pool_mask_any(mask: np.ndarray, factor: int) -> np.ndarray:
         raise InvalidInputError("downsample factor must be >= 1")
     if factor == 1:
         return mask.copy()
-    T = mask.shape[0]
-    out_len = -(-T // factor)
-    out = np.zeros(out_len, dtype=bool)
-    for i in range(out_len):
-        out[i] = bool(mask[i * factor : (i + 1) * factor].any())
-    return out
+    return np.logical_or.reduceat(mask, np.arange(0, mask.shape[0], factor))

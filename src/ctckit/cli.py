@@ -19,7 +19,7 @@ from . import config as cfgmod
 from .ctc import ctc_grad
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .decode import greedy_decode, prefix_beam_decode
-from .encoder import forward, init_params, load_checkpoint, param_shapes
+from .encoder import check_param_shapes, forward, init_params, load_checkpoint
 from .errors import CapacityError, CtcKitError, InfeasibleTargetError, InvalidInputError
 from .harness import (
     OUT_DIR_ENV,
@@ -30,7 +30,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .lattice import LabelSequence, Vocabulary, load_lattice_text
-from .peakedness import CSV_HEADER, emit_plot_data, peak_stats, write_plot_data
+from .peakedness import CSV_HEADER, peak_stats, save_plot_data
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +165,13 @@ def _cmd_evaluate(args) -> int:
     flat = _resolve(args)
     params, _ = load_checkpoint(args.load)
     dataset = _load_or_generate(args, flat)
-    _check_checkpoint_shapes(args.load, params, flat, dataset)
+    check_param_shapes(
+        params,
+        cfgmod.encoder_config(flat),
+        dataset.config.feature_dim,
+        dataset.vocab.extended_size,
+        what=f"checkpoint {args.load}",
+    )
     report = evaluate_model(params, dataset, args.split, flat)
     print(
         f"split={args.split} greedy_ter={report.greedy_ter:.4f} "
@@ -176,31 +182,9 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _check_checkpoint_shapes(path, params, flat, dataset) -> None:
-    """Reject a checkpoint whose tensor names or shapes differ from the
-    ones the resolved model config reads."""
-    cfg = cfgmod.encoder_config(flat)
-    want = param_shapes(cfg, dataset.config.feature_dim, dataset.vocab.extended_size)
-    got = {name: params[name].shape for name in params.names()}
-    names = sorted(want.keys() | got.keys())
-    bad = [f"{k} {got.get(k)} vs {want.get(k)}" for k in names
-           if got.get(k) != want.get(k)]
-    if bad:
-        raise InvalidInputError(
-            f"checkpoint {path} does not match the model config (checkpoint "
-            f"vs config shape, None if absent): {', '.join(bad)}"
-        )
-
-
-def _decode_vocab(width: int) -> Vocabulary:
-    if width < 2:
-        raise InvalidInputError("lattice must have blank plus at least one token")
-    return Vocabulary.generic(width - 1)
-
-
 def _cmd_decode(args) -> int:
     dist = load_lattice_text(args.input)
-    vocab = _decode_vocab(dist.extended_size)
+    vocab = Vocabulary.generic(dist.extended_size - 1)
     if args.method == "greedy":
         labels, _ = greedy_decode(dist, vocab)
     else:
@@ -211,13 +195,12 @@ def _cmd_decode(args) -> int:
 
 def _cmd_analyze(args) -> int:
     dist = load_lattice_text(args.input)
-    vocab = _decode_vocab(dist.extended_size)
+    vocab = Vocabulary.generic(dist.extended_size - 1)
     stats = peak_stats(dist, vocab)
     print(CSV_HEADER)
     print(stats.csv_row())
     if args.plot_data:
-        with open(args.plot_data, "w", encoding="utf-8") as fh:
-            write_plot_data(emit_plot_data(dist, vocab), fh)
+        save_plot_data(dist, vocab, args.plot_data)
         print(f"plot data: {args.plot_data}")
     return 0
 

@@ -91,13 +91,20 @@ def _skip_allowed(ext: np.ndarray) -> np.ndarray:
 
 
 def _shift(v: np.ndarray, by: int) -> np.ndarray:
+    """v moved ``by`` states later (earlier when negative), LOG_ZERO-filled."""
     out = np.full_like(v, LOG_ZERO)
-    out[by:] = v[:-by]
+    if by > 0:
+        out[by:] = v[:-by]
+    else:
+        out[:by] = v[-by:]
     return out
 
 
-def _log_add3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.logaddexp(np.logaddexp(a, b), c)
+def _step(v: np.ndarray, allow: np.ndarray, by: int) -> np.ndarray:
+    """One frame of the recursion in direction ``by`` (+1 forward, -1
+    backward): stay, move one state, or skip a blank where ``allow``."""
+    skip = np.where(allow, _shift(v, 2 * by), LOG_ZERO)
+    return np.logaddexp(np.logaddexp(v, _shift(v, by)), skip)
 
 
 def ctc_loss(
@@ -127,9 +134,7 @@ def ctc_loss(
     if S > 1:
         alpha[0, 1] = emit[0, 1]
     for t in range(1, T):
-        prev = alpha[t - 1]
-        skip = np.where(allow, _shift(prev, 2), LOG_ZERO)
-        alpha[t] = _log_add3(prev, _shift(prev, 1), skip) + emit[t]
+        alpha[t] = _step(alpha[t - 1], allow, 1) + emit[t]
 
     ll_alpha = alpha[T - 1, S - 1]
     if S > 1:
@@ -143,13 +148,7 @@ def ctc_loss(
     allow_from = np.zeros(S, dtype=bool)
     allow_from[: S - 2] = allow[2:]
     for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1] + emit[t + 1]
-        step = np.full(S, LOG_ZERO)
-        step[:-1] = nxt[1:]
-        skip = np.full(S, LOG_ZERO)
-        if S > 2:
-            skip[: S - 2] = np.where(allow_from[: S - 2], nxt[2:], LOG_ZERO)
-        beta[t] = _log_add3(nxt, step, skip)
+        beta[t] = _step(beta[t + 1] + emit[t + 1], allow_from, -1)
 
     table = ForwardBackwardTable(alpha, beta, ext, float(ll_alpha))
     return CtcLossResult(True, float(-ll_alpha), table)

@@ -8,6 +8,7 @@ results are deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,7 @@ def decode_oracle(
     best_y: tuple[int, ...] | None = None
     best_score = -np.inf
     for length in range(T + 1):
-        for labels in _sequences(vocab.size, length):
+        for labels in itertools.product(range(vocab.size), repeat=length):
             y = LabelSequence(labels)
             result = ctc_loss(dist, y, vocab)
             if not result.feasible:
@@ -151,16 +152,6 @@ def sequence_log_posterior(
     if not result.feasible:
         return LOG_ZERO
     return -result.loss
-
-
-def _sequences(vocab_size: int, length: int):
-    """All label tuples of the given length in lexicographic order."""
-    if length == 0:
-        yield ()
-        return
-    import itertools
-
-    yield from itertools.product(range(vocab_size), repeat=length)
 
 
 def _check(dist: DistributionLattice, vocab: Vocabulary) -> None:

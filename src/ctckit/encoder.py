@@ -92,6 +92,27 @@ def param_shapes(
     return shapes
 
 
+def check_param_shapes(
+    params: ParameterSet,
+    cfg: EncoderConfig,
+    feature_dim: int,
+    num_classes: int,
+    what: str = "parameter set",
+) -> None:
+    """Reject parameters whose tensor names or shapes differ from the ones
+    the encoder reads under ``cfg``; the message lists every mismatch."""
+    want = param_shapes(cfg, feature_dim, num_classes)
+    got = {name: params[name].shape for name in params.names()}
+    names = sorted(want.keys() | got.keys())
+    bad = [f"{k} {got.get(k)} vs {want.get(k)}" for k in names
+           if got.get(k) != want.get(k)]
+    if bad:
+        raise InvalidInputError(
+            f"{what} does not match the model config (given vs config shape, "
+            f"None if absent): {', '.join(bad)}"
+        )
+
+
 def init_params(
     cfg: EncoderConfig,
     feature_dim: int,
@@ -113,7 +134,7 @@ def init_params(
 
 @dataclass
 class LayerTape:
-    h_in: np.ndarray
+    h_pad: np.ndarray | None  # zero-padded input; None when the layer was dropped
     act: np.ndarray | None  # tanh output; None when the layer was dropped
     drop: np.ndarray | None  # multiplicative dropout factor incl. 1/(1-p)
     kept: bool
@@ -149,11 +170,8 @@ def forward(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InvalidInputError("input features must be a 2-D array")
-    if x.shape[1] != params["in.w"].shape[0]:
-        raise InvalidInputError(
-            f"feature dim {x.shape[1]} does not match parameters "
-            f"({params['in.w'].shape[0]})"
-        )
+    num_classes = params["out.b"].size if "out.b" in params.tensors else 0
+    check_param_shapes(params, cfg, x.shape[1], num_classes)
     if train and rng is None:
         raise InvalidInputError("train mode needs an explicit random generator")
 
@@ -176,7 +194,7 @@ def forward(
         else:
             drop, kept, scale = None, True, 1.0
         if not kept:
-            tape.layers.append(LayerTape(h, None, None, False, 0.0))
+            tape.layers.append(LayerTape(None, None, None, False, 0.0))
             continue
         w = params[f"layer{l}.w"]
         hp = np.pad(h, ((r, r), (0, 0)))
@@ -185,7 +203,7 @@ def forward(
             u += hp[j : j + T] @ w[j]
         a = np.tanh(u)
         branch = a if drop is None else a * drop
-        tape.layers.append(LayerTape(h, a, drop, True, scale))
+        tape.layers.append(LayerTape(hp, a, drop, True, scale))
         h = h + branch * scale
 
     tape.h_final = h
@@ -222,12 +240,11 @@ def backward(
             da = da * lt.drop
         du = da * (1.0 - lt.act * lt.act)
         grads[f"layer{l}.b"] = du.sum(axis=0)
-        hp = np.pad(lt.h_in, ((r, r), (0, 0)))
         w = params[f"layer{l}.w"]
         dw = grads[f"layer{l}.w"]
-        dhp = np.zeros_like(hp)
+        dhp = np.zeros_like(lt.h_pad)
         for j in range(2 * r + 1):
-            dw[j] = hp[j : j + T].T @ du
+            dw[j] = lt.h_pad[j : j + T].T @ du
             dhp[j : j + T] += du @ w[j].T
         dh = dh + dhp[r : r + T]
 

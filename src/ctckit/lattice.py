@@ -161,6 +161,17 @@ def _check_lattice_shape(values: np.ndarray, what: str) -> None:
         )
 
 
+def _check_rows(probs: np.ndarray) -> None:
+    if np.any(probs < 0.0) or np.any(probs > 1.0 + 1e-12):
+        raise InvalidInputError("probabilities must lie in [0, 1]")
+    sums = probs.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+        worst = float(np.abs(sums - 1.0).max())
+        raise InvalidInputError(
+            f"rows must sum to 1 within {ROW_SUM_TOL}; worst |err| = {worst:g}"
+        )
+
+
 @dataclass(frozen=True)
 class LogitLattice:
     """Unnormalized per-frame scores, one row per frame, blank in column 0."""
@@ -189,34 +200,23 @@ class DistributionLattice:
 
     Both linear and log forms are stored; zeros are legal (one-hot rows,
     hand-written files) and carry LOG_ZERO in the log form. Rows must sum
-    to 1 within ROW_SUM_TOL.
+    to 1 within ROW_SUM_TOL; ``from_probs`` and ``from_log_probs`` check
+    that, while the constructor trusts its caller (``softmax_rows``) and
+    only freezes both forms.
     """
 
     probs: np.ndarray
     log_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        logp = np.asarray(self.log_probs, dtype=np.float64)
-        _check_lattice_shape(probs, "distribution lattice")
-        if probs.shape != logp.shape:
-            raise InvalidInputError("probs and log_probs shapes differ")
-        if np.any(probs < 0.0) or np.any(probs > 1.0 + 1e-12):
-            raise InvalidInputError("probabilities must lie in [0, 1]")
-        sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            worst = float(np.abs(sums - 1.0).max())
-            raise InvalidInputError(
-                f"rows must sum to 1 within {ROW_SUM_TOL}; worst |err| = {worst:g}"
-            )
-        if np.any(np.abs(np.exp(logp) - probs) > 1e-9):
-            raise InvalidInputError("log form inconsistent with linear form")
-        object.__setattr__(self, "probs", _freeze(probs))
-        object.__setattr__(self, "log_probs", _freeze(logp))
+        object.__setattr__(self, "probs", _freeze(self.probs))
+        object.__setattr__(self, "log_probs", _freeze(self.log_probs))
 
     @classmethod
     def from_probs(cls, probs: np.ndarray) -> "DistributionLattice":
         probs = np.asarray(probs, dtype=np.float64)
+        _check_lattice_shape(probs, "distribution lattice")
+        _check_rows(probs)
         return cls(probs, log_of(probs))
 
     @classmethod
@@ -240,7 +240,9 @@ class DistributionLattice:
                 raise InvalidInputError("a row has no probability mass")
             logp = logp - (m + np.log(np.exp(logp - m).sum(axis=1, keepdims=True)))
             logp[logp < LOG_ZERO] = LOG_ZERO
-        return cls(np.exp(logp), logp)
+        probs = np.exp(logp)
+        _check_rows(probs)
+        return cls(probs, logp)
 
     @property
     def num_frames(self) -> int:

@@ -76,7 +76,7 @@ class PeakStats:
 
 
 def peak_stats(dist: DistributionLattice, vocab: Vocabulary) -> PeakStats:
-    _, alignment = greedy_decode(dist, vocab)
+    labels, alignment = greedy_decode(dist, vocab)
     path = np.array(alignment.path, dtype=np.int64)
     T = len(path)
     maxp = dist.probs[np.arange(T), path]
@@ -84,19 +84,10 @@ def peak_stats(dist: DistributionLattice, vocab: Vocabulary) -> PeakStats:
 
     num_blank = int(blank_mask.sum())
     num_nonblank = T - num_blank
+    # each collapsed label is one non-blank run of the path: one emission
+    emissions = len(labels)
 
-    # run-length encode the path; non-blank runs are emissions
-    emissions = 0
-    total_duration = 0
-    prev = -1
-    for v in path:
-        if v != BLANK and v != prev:
-            emissions += 1
-        if v != BLANK:
-            total_duration += 1
-        prev = int(v)
-
-    dur = total_duration / emissions if emissions else 0.0
+    dur = num_nonblank / emissions if emissions else 0.0
     bp = float(maxp[blank_mask].mean()) if num_blank else 0.0
     nbp = float(maxp[~blank_mask].mean()) if num_nonblank else 0.0
     return PeakStats(dur, bp, nbp, emissions, num_blank, num_nonblank)

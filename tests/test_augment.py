@@ -9,6 +9,7 @@ from ctckit.augment import (
     pool_mask_any,
     time_warp,
 )
+from ctckit.encoder import _downsample
 from ctckit.errors import InvalidInputError
 
 DESK = SpecAugmentConfig(
@@ -178,3 +179,13 @@ def test_pool_mask_any():
     out = pool_mask_any(mask, 4)
     assert out.tolist() == [True, True, False]
     assert pool_mask_any(mask, 1).tolist() == mask.tolist()
+    # frame filters pair pooled mask entries with downsampled encoder frames
+    rng = np.random.default_rng(0)
+    for T in range(1, 13):
+        for factor in range(1, 5):
+            mask = rng.random(T) < 0.3
+            out = pool_mask_any(mask, factor)
+            assert out.dtype == bool
+            assert len(out) == _downsample(np.zeros((T, 1)), factor).shape[0]
+            for i, pooled in enumerate(out):
+                assert pooled == mask[i * factor : (i + 1) * factor].any()

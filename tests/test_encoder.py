@@ -103,6 +103,14 @@ class TestForward:
         with pytest.raises(InvalidInputError):
             forward(params, np.zeros((4, 5)), cfg)
 
+    @pytest.mark.parametrize(
+        "kw", [{"layers": 1}, {"layers": 3}, {"context_radius": 2}, {"hidden_dim": 5}]
+    )
+    def test_params_from_another_config_rejected(self, kw):
+        params = make_params(small_cfg(layers=2))
+        with pytest.raises(InvalidInputError, match="does not match the model config"):
+            forward(params, np.zeros((4, 3)), small_cfg(**kw))
+
     def test_train_without_rng(self):
         cfg = small_cfg()
         params = make_params(cfg)
