@@ -24,11 +24,11 @@ class SpecAugmentConfig:
     Defaults follow the standard large-corpus recipe (warp 80, two frequency
     masks of width up to 27, ten time masks of width up to 100 capped at 15%
     of the frames). ``time_scale_ratio`` multiplies the number of time masks
-    and the total masked-fraction cap, not the per-mask width; 2.5 is the
-    consistency-training setting and 1.0 the plain-CTC baseline.
+    and the total masked-fraction cap, not the per-mask width; 1.0 is the
+    plain-CTC baseline and 2.5 the consistency-training setting.
     ``freq_scale_ratio`` scales the frequency-mask count and width cap the
-    same way, as an ablation axis. ``mask_value`` of 0 assumes roughly
-    mean-normalized features.
+    same way, as an ablation axis. Masked cells are set to 0, which assumes
+    roughly mean-normalized features.
     """
 
     warp_factor: int = 80
@@ -37,9 +37,8 @@ class SpecAugmentConfig:
     num_time_masks: int = 10
     max_time_mask_width: int = 100
     max_time_mask_fraction: float = 0.15
-    time_scale_ratio: float = 2.5
+    time_scale_ratio: float = 1.0
     freq_scale_ratio: float = 1.0
-    mask_value: float = 0.0
 
     def __post_init__(self) -> None:
         if (
@@ -131,7 +130,7 @@ def _apply_freq_masks(
     for _ in range(cfg.effective_num_freq_masks):
         width = int(rng.integers(0, width_cap + 1))
         start = int(rng.integers(0, F - width + 1))
-        feats[:, start : start + width] = cfg.mask_value
+        feats[:, start : start + width] = 0.0
 
 
 def _apply_time_masks(
@@ -160,7 +159,7 @@ def _apply_time_masks(
                 break
             masked[t] = True
             count += 1
-    feats[masked] = cfg.mask_value
+    feats[masked] = 0.0
     return masked
 
 

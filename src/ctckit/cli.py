@@ -20,7 +20,13 @@ from .ctc import ctc_grad
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .decode import greedy_decode, prefix_beam_decode
 from .encoder import check_param_shapes, forward, init_params, load_checkpoint
-from .errors import CapacityError, CtcKitError, InfeasibleTargetError, InvalidInputError
+from .errors import (
+    CapacityError,
+    CtcKitError,
+    InfeasibleTargetError,
+    InvalidInputError,
+    writing,
+)
 from .harness import (
     OUT_DIR_ENV,
     RunRecord,
@@ -59,7 +65,8 @@ def _resolve(args) -> dict[str, object]:
 
 def _out_path(args, name: str) -> str:
     base = args.out_dir or default_out_dir()
-    os.makedirs(base, exist_ok=True)
+    with writing("output directory", base):
+        os.makedirs(base, exist_ok=True)
     return os.path.join(base, name)
 
 

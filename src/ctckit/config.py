@@ -10,6 +10,9 @@ are named override bundles applied below file and command-line overrides
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields, replace
+
 from .augment import SpecAugmentConfig
 from .consistency import CrConfig
 from .dataset import SyntheticTaskConfig
@@ -18,57 +21,77 @@ from .errors import InvalidInputError
 from .smoothing import SrConfig
 
 OBJECTIVES = ("ctc", "cr_ctc", "sr_ctc")
-OPTIMIZERS = ("adam", "sgd")
+
+# prefix -> settings dataclass. Each field `name` is the flat key
+# `prefix.name`; its default and type are the field's default and its type.
+SECTIONS: dict[str, type] = {
+    "data": SyntheticTaskConfig,
+    "aug": SpecAugmentConfig,
+    "cr": CrConfig,
+    "sr": SrConfig,
+    "model": EncoderConfig,
+}
+
+# help text of each dataclass-backed key
+_HELP: dict[str, str] = {
+    "data.vocab_size": "number of distinct tokens",
+    "data.feature_dim": "feature vector width",
+    "data.min_frames_per_token": "shortest token rendering",
+    "data.max_frames_per_token": "longest token rendering",
+    "data.noise_std": "Gaussian noise level on features",
+    "data.min_label_len": "shortest label sequence",
+    "data.max_label_len": "longest label sequence",
+    "data.num_train": "training samples",
+    "data.num_dev": "dev samples",
+    "data.num_test": "test samples",
+    "data.seed": "dataset generation seed",
+    "aug.warp_factor": "time-warp window",
+    "aug.num_freq_masks": "frequency masks per view",
+    "aug.max_freq_mask_width": "frequency mask width cap",
+    "aug.num_time_masks": "time masks per view before scaling",
+    "aug.max_time_mask_width": "time mask width cap",
+    "aug.max_time_mask_fraction": "masked-frame fraction cap",
+    "aug.time_scale_ratio": "time-mask count/fraction multiplier",
+    "aug.freq_scale_ratio": "frequency-mask count/width multiplier",
+    "cr.alpha": "consistency weight",
+    "cr.target_mode": "stop_gradient | flow_gradient",
+    "cr.distance": "bidirectional_kl | hard_label_ce",
+    "cr.frame_filter": "all | exclude_self_masked | exclude_self_unmasked",
+    "sr.beta": "smoothness penalty weight",
+    "model.layers": "residual conv blocks",
+    "model.hidden_dim": "hidden width",
+    "model.context_radius": "conv taps each side",
+    "model.dropout_prob": "inverted dropout rate",
+    "model.layer_drop_prob": "residual branch drop rate",
+    "model.downsample_factor": "ceil-mode input pooling",
+}
 
 # key -> (default, help). Type is the type of the default.
 KEY_TABLE: dict[str, tuple[object, str]] = {
-    "data.vocab_size": (8, "number of distinct tokens"),
-    "data.feature_dim": (16, "feature vector width"),
-    "data.min_frames_per_token": (4, "shortest token rendering"),
-    "data.max_frames_per_token": (8, "longest token rendering"),
-    "data.noise_std": (0.3, "Gaussian noise level on features"),
-    "data.min_label_len": (3, "shortest label sequence"),
-    "data.max_label_len": (10, "longest label sequence"),
-    "data.num_train": (512, "training samples"),
-    "data.num_dev": (64, "dev samples"),
-    "data.num_test": (64, "test samples"),
-    "data.seed": (0, "dataset generation seed"),
-    "aug.warp_factor": (80, "time-warp window"),
-    "aug.num_freq_masks": (2, "frequency masks per view"),
-    "aug.max_freq_mask_width": (27, "frequency mask width cap"),
-    "aug.num_time_masks": (10, "time masks per view before scaling"),
-    "aug.max_time_mask_width": (100, "time mask width cap"),
-    "aug.max_time_mask_fraction": (0.15, "masked-frame fraction cap"),
-    "aug.time_scale_ratio": (1.0, "time-mask count/fraction multiplier"),
+    f"{prefix}.{f.name}": (f.default, _HELP[f"{prefix}.{f.name}"])
+    for prefix, cls in SECTIONS.items()
+    for f in fields(cls)
+} | {
+    # keys with no settings dataclass behind them
     "aug.cr_time_scale_ratio": (2.5, "time multiplier used by cr_ctc"),
-    "aug.freq_scale_ratio": (1.0, "frequency-mask count/width multiplier"),
-    "aug.mask_value": (0.0, "fill value for masked cells"),
-    "cr.alpha": (0.2, "consistency weight"),
-    "cr.target_mode": ("stop_gradient", "stop_gradient | flow_gradient"),
-    "cr.distance": ("bidirectional_kl", "bidirectional_kl | hard_label_ce"),
-    "cr.frame_filter": (
-        "all",
-        "all | exclude_self_masked | exclude_self_unmasked",
-    ),
-    "cr.normalize_by_frames": (False, "divide consistency sum by T"),
-    "sr.beta": (0.2, "smoothness penalty weight"),
-    "model.layers": (3, "residual conv blocks"),
-    "model.hidden_dim": (64, "hidden width"),
-    "model.context_radius": (2, "conv taps each side"),
-    "model.dropout_prob": (0.1, "inverted dropout rate"),
-    "model.layer_drop_prob": (0.1, "residual branch drop rate"),
-    "model.downsample_factor": (1, "ceil-mode input pooling"),
     "train.objective": ("ctc", "ctc | cr_ctc | sr_ctc"),
     "train.epochs": (20, "training epochs"),
     "train.batch_size": (16, "samples per gradient step"),
     "train.lr": (2e-3, "learning rate"),
-    "train.optimizer": ("adam", "adam | sgd"),
     "train.seed": (0, "training seed (init, dropout, shuffling)"),
     "train.fair_cost": (True, "halve epochs and batch for cr_ctc"),
     "eval.beam": (4, "prefix beam width"),
 }
 
 DEFAULTS: dict[str, object] = {k: v for k, (v, _) in KEY_TABLE.items()}
+
+# removed keys that older run records may hold -> the value the code now
+# always uses
+RETIRED: dict[str, object] = {
+    "train.optimizer": "adam",
+    "cr.normalize_by_frames": False,
+    "aug.mask_value": 0.0,
+}
 
 PRESETS: dict[str, dict[str, object]] = {
     # desk: the benchmark setting for objective comparisons. High feature
@@ -189,12 +212,15 @@ def _validate(flat: dict[str, object]) -> None:
         raise InvalidInputError(
             f"train.objective must be one of {OBJECTIVES}"
         )
-    if flat["train.optimizer"] not in OPTIMIZERS:
-        raise InvalidInputError(f"train.optimizer must be one of {OPTIMIZERS}")
     if int(flat["train.epochs"]) < 1 or int(flat["train.batch_size"]) < 1:
         raise InvalidInputError("train.epochs and train.batch_size must be >= 1")
+    if not 0.0 < float(flat["train.lr"]) < math.inf:
+        raise InvalidInputError("train.lr must be finite and > 0")
     if int(flat["eval.beam"]) < 1:
         raise InvalidInputError("eval.beam must be >= 1")
+    for prefix in SECTIONS:
+        section(prefix, flat)
+    augment_config(flat, for_objective="cr_ctc")
 
 
 def config_to_text(flat: dict[str, object]) -> str:
@@ -202,62 +228,29 @@ def config_to_text(flat: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def section(prefix: str, flat: dict[str, object]):
+    """The settings dataclass of ``prefix`` built from its ``prefix.field``
+    keys, each cast to the type of the field's default."""
+    cls = SECTIONS[prefix]
+    return cls(**{
+        f.name: type(f.default)(flat[f"{prefix}.{f.name}"]) for f in fields(cls)
+    })
+
+
 def data_config(flat: dict[str, object]) -> SyntheticTaskConfig:
-    return SyntheticTaskConfig(
-        vocab_size=int(flat["data.vocab_size"]),
-        feature_dim=int(flat["data.feature_dim"]),
-        min_frames_per_token=int(flat["data.min_frames_per_token"]),
-        max_frames_per_token=int(flat["data.max_frames_per_token"]),
-        noise_std=float(flat["data.noise_std"]),
-        min_label_len=int(flat["data.min_label_len"]),
-        max_label_len=int(flat["data.max_label_len"]),
-        num_train=int(flat["data.num_train"]),
-        num_dev=int(flat["data.num_dev"]),
-        num_test=int(flat["data.num_test"]),
-        seed=int(flat["data.seed"]),
-    )
+    return section("data", flat)
+
+
+def encoder_config(flat: dict[str, object]) -> EncoderConfig:
+    return section("model", flat)
 
 
 def augment_config(
     flat: dict[str, object], for_objective: str | None = None
 ) -> SpecAugmentConfig:
     """Augmentation policy; cr_ctc swaps in its own time-scaling ratio."""
-    ratio = float(flat["aug.time_scale_ratio"])
+    cfg = section("aug", flat)
     if for_objective == "cr_ctc":
         ratio = float(flat["aug.cr_time_scale_ratio"])
-    return SpecAugmentConfig(
-        warp_factor=int(flat["aug.warp_factor"]),
-        num_freq_masks=int(flat["aug.num_freq_masks"]),
-        max_freq_mask_width=int(flat["aug.max_freq_mask_width"]),
-        num_time_masks=int(flat["aug.num_time_masks"]),
-        max_time_mask_width=int(flat["aug.max_time_mask_width"]),
-        max_time_mask_fraction=float(flat["aug.max_time_mask_fraction"]),
-        time_scale_ratio=ratio,
-        freq_scale_ratio=float(flat["aug.freq_scale_ratio"]),
-        mask_value=float(flat["aug.mask_value"]),
-    )
-
-
-def cr_config(flat: dict[str, object]) -> CrConfig:
-    return CrConfig(
-        alpha=float(flat["cr.alpha"]),
-        target_mode=str(flat["cr.target_mode"]),
-        distance=str(flat["cr.distance"]),
-        frame_filter=str(flat["cr.frame_filter"]),
-        normalize_by_frames=bool(flat["cr.normalize_by_frames"]),
-    )
-
-
-def sr_config(flat: dict[str, object]) -> SrConfig:
-    return SrConfig(beta=float(flat["sr.beta"]))
-
-
-def encoder_config(flat: dict[str, object]) -> EncoderConfig:
-    return EncoderConfig(
-        layers=int(flat["model.layers"]),
-        hidden_dim=int(flat["model.hidden_dim"]),
-        context_radius=int(flat["model.context_radius"]),
-        dropout_prob=float(flat["model.dropout_prob"]),
-        layer_drop_prob=float(flat["model.layer_drop_prob"]),
-        downsample_factor=int(flat["model.downsample_factor"]),
-    )
+        return replace(cfg, time_scale_ratio=ratio)
+    return cfg

@@ -45,16 +45,14 @@ FRAME_FILTERS = ("all", "exclude_self_masked", "exclude_self_unmasked")
 class CrConfig:
     """Consistency-loss settings.
 
-    alpha weighs the consistency term against the averaged CTC losses.
-    normalize_by_frames divides the frame sum by T; it defaults to off so
-    the loss is the literal per-frame sum.
+    alpha weighs the consistency term, a literal per-frame sum, against
+    the averaged CTC losses.
     """
 
     alpha: float = 0.2
     target_mode: str = "stop_gradient"
     distance: str = "bidirectional_kl"
     frame_filter: str = "all"
-    normalize_by_frames: bool = False
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -150,11 +148,6 @@ def cr_loss(
             # target-side term of KL(p || q) wrt p's logits: p * (log(p/q) - KL)
             grad_b = grad_b + 0.5 * wa[:, None] * pb * (diff - kl_b_to_a[:, None])
             grad_a = grad_a + 0.5 * wb[:, None] * pa * (-diff - kl_a_to_b[:, None])
-
-    if cfg.normalize_by_frames:
-        loss /= T
-        grad_a = grad_a / T
-        grad_b = grad_b / T
     return CrLossResult(loss, grad_a, grad_b)
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, writing
 from .lattice import LabelSequence, Vocabulary
 
 _SPLITS = ("train", "dev", "test")
@@ -120,7 +120,8 @@ def save_dataset(dataset: Dataset, path) -> None:
         json.dumps(asdict(dataset.config), sort_keys=True).encode("utf-8"),
         dtype=np.uint8,
     )
-    np.savez_compressed(path, **arrays)
+    with writing("dataset file", path):
+        np.savez_compressed(path, **arrays)
 
 
 def load_dataset(path) -> Dataset:

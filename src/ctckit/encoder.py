@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, writing
 from .lattice import LogitLattice
 
 CHECKPOINT_MAGIC = b"CTCKPT"
@@ -259,14 +259,6 @@ def accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> Non
         total[name] += g
 
 
-def sgd_step(
-    params: ParameterSet, grads: dict[str, np.ndarray], lr: float
-) -> ParameterSet:
-    return ParameterSet(
-        {k: v - lr * grads[k] for k, v in params.tensors.items()}
-    )
-
-
 @dataclass
 class AdamState:
     step: int
@@ -322,7 +314,7 @@ def save_checkpoint(path, params: ParameterSet, meta: dict | None = None) -> Non
         for dim in arr.shape:
             blob += struct.pack("<I", dim)
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
+    with writing("checkpoint", path), open(path, "wb") as fh:
         fh.write(blob)
 
 

@@ -34,9 +34,8 @@ from .encoder import (
     backward,
     forward,
     init_params,
-    sgd_step,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, writing
 from .lattice import softmax_rows
 from .metrics import corpus_token_error_rate
 from .peakedness import PeakStats, peak_stats
@@ -125,7 +124,7 @@ class RunRecord:
             raise InvalidInputError(f"bad run record: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with writing("run record", path), open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
 
     @classmethod
@@ -147,13 +146,6 @@ def effective_schedule(flat: dict[str, object], objective: str) -> tuple[int, in
     return epochs, batch
 
 
-def _grad_step(params, grads, flat, opt_state):
-    lr = float(flat["train.lr"])
-    if str(flat["train.optimizer"]) == "sgd":
-        return sgd_step(params, grads, lr), opt_state
-    return adam_step(params, grads, opt_state, lr)
-
-
 def train_model(
     dataset: Dataset,
     flat: dict[str, object],
@@ -167,8 +159,9 @@ def train_model(
 
     enc_cfg = cfgmod.encoder_config(flat)
     aug_cfg = cfgmod.augment_config(flat, for_objective=objective)
-    cr_cfg = cfgmod.cr_config(flat)
-    sr_cfg = cfgmod.sr_config(flat)
+    cr_cfg = cfgmod.section("cr", flat)
+    sr_cfg = cfgmod.section("sr", flat)
+    lr = float(flat["train.lr"])
     vocab = dataset.vocab
     num_classes = vocab.extended_size
 
@@ -182,30 +175,33 @@ def train_model(
     skipped = 0
     curve: list[float | None] = []
 
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = step_rng.permutation(len(samples))
         epoch_loss, epoch_count = 0.0, 0
-        for start in range(0, len(order), batch_size):
+        for step, start in enumerate(range(0, len(order), batch_size)):
             batch = [samples[int(i)] for i in order[start : start + batch_size]]
             grads = params.zeros_like()
             used = 0
-            for sample in batch:
-                item = _sample_grads(
-                    params, sample, objective, enc_cfg, aug_cfg, cr_cfg,
-                    sr_cfg, vocab, step_rng,
-                )
-                if item is None:
-                    skipped += 1
+            try:
+                for sample in batch:
+                    item = _sample_grads(
+                        params, sample, objective, enc_cfg, aug_cfg, cr_cfg,
+                        sr_cfg, vocab, step_rng,
+                    )
+                    if item is None:
+                        skipped += 1
+                        continue
+                    loss, sample_grads = item
+                    accumulate(grads, sample_grads)
+                    epoch_loss += loss
+                    used += 1
+                if used == 0:
                     continue
-                loss, sample_grads = item
-                accumulate(grads, sample_grads)
-                epoch_loss += loss
-                used += 1
-            if used == 0:
-                continue
-            for g in grads.values():
-                g /= used
-            params, opt_state = _grad_step(params, grads, flat, opt_state)
+                for g in grads.values():
+                    g /= used
+                params, opt_state = adam_step(params, grads, opt_state, lr)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"epoch {epoch} step {step}: {exc}") from exc
             epoch_count += used
         curve.append(epoch_loss / epoch_count if epoch_count else None)
     return TrainOutcome(params, curve, skipped)
@@ -326,7 +322,16 @@ def run_experiment(
 
 
 def rerun_from_record(record: RunRecord) -> RunRecord:
-    """Reproduce a run from its persisted config + seed (fresh dataset)."""
+    """Reproduce a run from its persisted config + seed (fresh dataset).
+
+    Retired keys are ignored when they hold the value the code now always
+    uses, and rejected otherwise."""
+    for key, value in cfgmod.RETIRED.items():
+        if record.config.get(key, value) != value:
+            raise InvalidInputError(
+                f"run record sets {key} = {record.config[key]!r}, which can "
+                f"no longer be rerun (the code always uses {value!r})"
+            )
     fresh, _ = run_experiment(record.objective, record.config, record.seed)
     return fresh
 
@@ -398,7 +403,7 @@ def sweep(
 
 def write_sweep_csv(rows: list[dict[str, object]], path) -> None:
     columns = SWEEP_CSV_COLUMNS.split(",")
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing("sweep CSV", path), open(path, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_CSV_COLUMNS + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")

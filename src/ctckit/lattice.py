@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, writing
 from .logspace import LOG_ZERO, log_of
 
 ROW_SUM_TOL = 1e-9
@@ -353,7 +353,7 @@ def parse_lattice_text(text: str, *, normalize: bool = True) -> DistributionLatt
 
 
 def save_lattice_text(lattice: DistributionLattice, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing("lattice file", path), open(path, "w", encoding="utf-8") as fh:
         fh.write(format_lattice_text(lattice))
 
 

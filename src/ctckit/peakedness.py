@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decode import greedy_decode
+from .errors import writing
 from .lattice import BLANK, DistributionLattice, Vocabulary
 
 BLANK_TOKEN_TEXT = "<blank>"
@@ -114,5 +115,5 @@ def write_plot_data(rows: list[tuple[int, str, float, bool]], fh: io.TextIOBase)
 
 
 def save_plot_data(dist: DistributionLattice, vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing("plot data", path), open(path, "w", encoding="utf-8") as fh:
         write_plot_data(emit_plot_data(dist, vocab), fh)

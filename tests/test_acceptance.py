@@ -188,7 +188,7 @@ def test_c02_gradient_correctness():
     sr_cfg = SrConfig(beta=0.3)
     lz = rng.normal(size=(10, vocab.extended_size))
     sr_res = sr_loss_from_logits(LogitLattice(lz), y, vocab, sr_cfg)
-    smooth0 = smooth_lattice(softmax_rows(LogitLattice(lz)), sr_cfg)
+    smooth0 = smooth_lattice(softmax_rows(LogitLattice(lz)))
 
     def sr_surrogate(l):
         z = softmax_rows(LogitLattice(l))

@@ -32,8 +32,7 @@ def test_defaults_match_baseline_at_unit_ratio():
 
 
 def test_effective_scaling():
-    cfg = SpecAugmentConfig()
-    assert cfg.time_scale_ratio == 2.5
+    cfg = SpecAugmentConfig(time_scale_ratio=2.5)
     assert cfg.effective_num_time_masks == 25
     assert cfg.effective_time_mask_fraction == pytest.approx(0.375)
     big = SpecAugmentConfig(time_scale_ratio=10.0)
@@ -115,6 +114,7 @@ def test_masked_fraction_bounded():
 
 
 def test_masked_frames_carry_mask_value():
+    # masked cells are 0.0; the +100 offset keeps real features away from it
     cfg = SpecAugmentConfig(
         warp_factor=0,
         num_freq_masks=0,
@@ -123,12 +123,11 @@ def test_masked_frames_carry_mask_value():
         max_time_mask_width=10,
         max_time_mask_fraction=0.5,
         time_scale_ratio=1.0,
-        mask_value=-7.0,
     )
     x = np.random.default_rng(0).normal(size=(30, 4)) + 100.0
     view = augment(x, cfg, np.random.default_rng(1))
     assert view.time_masked.any()
-    assert np.all(view.features[view.time_masked] == -7.0)
+    assert np.all(view.features[view.time_masked] == 0.0)
     assert np.all(view.features[~view.time_masked] == x[~view.time_masked])
 
 

@@ -170,3 +170,28 @@ class TestExitCodes:
 
     def test_bad_preset(self, capsys):
         assert main(["train", "--preset", "warehouse"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--input", "{lat}", "--plot-data", "{bad}/f.csv"],
+            ["gen-data", "--out", "{bad}/x.npz"] + TINY_SETS,
+            ["--out-dir", "{lat}/sub", "gen-data"] + TINY_SETS,
+            ["train", "--record", "{bad}/r.json"] + TINY_SETS,
+            ["train", "--save", "{bad}/m.ckpt"] + TINY_SETS,
+            ["sweep", "--axes", "alpha", "--out", "{bad}/s.csv"] + TINY_SETS,
+        ],
+        ids=["plot-data", "gen-data", "out-dir", "record", "checkpoint", "sweep"],
+    )
+    def test_unwritable_output_path_exits_one(self, tmp_path, capsys, argv):
+        lat = peaked_lattice(tmp_path)
+        bad = tmp_path / "missing"
+        argv = [a.format(lat=lat, bad=bad) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write ")
+        target = next(a for a in argv if a.startswith((str(bad), f"{lat}/")))
+        assert target in lines[0]

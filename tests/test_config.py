@@ -1,5 +1,7 @@
 """Flat config parsing, precedence, and dataclass builders."""
 
+from dataclasses import fields
+
 import pytest
 
 from ctckit import config as cfgmod
@@ -20,14 +22,14 @@ class TestParsing:
         data.vocab_size = 5
         cr.alpha = 0.3   # trailing comment
         train.objective = sr_ctc
-        cr.normalize_by_frames = true
+        train.fair_cost = false
         """
         got = cfgmod.parse_config_text(text)
         assert got == {
             "data.vocab_size": 5,
             "cr.alpha": 0.3,
             "train.objective": "sr_ctc",
-            "cr.normalize_by_frames": True,
+            "train.fair_cost": False,
         }
 
     def test_unknown_key(self):
@@ -66,6 +68,31 @@ class TestParsing:
         with pytest.raises(InvalidInputError):
             cfgmod.resolve(assignments=["train.objective=rnnt"])
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            "cr.alpha=-1",
+            "cr.distance=l2",
+            "sr.beta=-0.5",
+            "model.dropout_prob=1.0",
+            "aug.max_time_mask_fraction=1.5",
+            "aug.cr_time_scale_ratio=-1",
+            "data.min_label_len=0",
+            "train.lr=inf",
+            "train.lr=nan",
+            "train.lr=0",
+            "train.lr=-0.001",
+        ],
+    )
+    def test_bad_values_rejected_at_resolve(self, pair):
+        with pytest.raises(InvalidInputError):
+            cfgmod.resolve("smoke", assignments=[pair])
+
+    @pytest.mark.parametrize("key", sorted(cfgmod.RETIRED))
+    def test_retired_keys_rejected(self, key):
+        with pytest.raises(InvalidInputError, match="unknown config key"):
+            cfgmod.parse_config_text(f"{key} = {cfgmod.RETIRED[key]}")
+
     def test_round_trip_through_text(self):
         flat = cfgmod.resolve(preset="desk")
         again = cfgmod.parse_config_text(cfgmod.config_to_text(flat))
@@ -95,9 +122,33 @@ class TestBuilders:
         flat = cfgmod.resolve(
             assignments=["cr.target_mode=flow_gradient", "sr.beta=0.5"]
         )
-        assert cfgmod.cr_config(flat).target_mode == "flow_gradient"
-        assert cfgmod.sr_config(flat).beta == 0.5
+        assert cfgmod.section("cr", flat).target_mode == "flow_gradient"
+        assert cfgmod.section("sr", flat).beta == 0.5
 
     def test_encoder_config(self):
         flat = cfgmod.resolve(assignments=["model.hidden_dim=12"])
         assert cfgmod.encoder_config(flat).hidden_dim == 12
+
+    def test_section_keys_are_dataclass_fields(self):
+        sectioned = set()
+        for prefix, cls in cfgmod.SECTIONS.items():
+            for f in fields(cls):
+                key = f"{prefix}.{f.name}"
+                sectioned.add(key)
+                assert cfgmod.DEFAULTS[key] == f.default, key
+                assert type(cfgmod.DEFAULTS[key]) is type(f.default), key
+        assert set(cfgmod.DEFAULTS) - sectioned == {
+            "aug.cr_time_scale_ratio",
+            "train.objective",
+            "train.epochs",
+            "train.batch_size",
+            "train.lr",
+            "train.seed",
+            "train.fair_cost",
+            "eval.beam",
+        }
+
+    @pytest.mark.parametrize("prefix", sorted(cfgmod.SECTIONS))
+    def test_default_flat_config_builds_dataclass_defaults(self, prefix):
+        flat = cfgmod.resolve()
+        assert cfgmod.section(prefix, flat) == cfgmod.SECTIONS[prefix]()

@@ -194,15 +194,6 @@ def test_filter_requires_masks():
         cr_loss(z, z, None, None, CrConfig(frame_filter="exclude_self_masked"))
 
 
-def test_normalize_by_frames_toggle():
-    rng = np.random.default_rng(13)
-    za = random_distribution(rng, 8, 3)
-    zb = random_distribution(rng, 8, 3)
-    raw = cr_loss(za, zb, None, None, CrConfig())
-    normed = cr_loss(za, zb, None, None, CrConfig(normalize_by_frames=True))
-    assert normed.loss == pytest.approx(raw.loss / 8.0, abs=1e-12)
-
-
 def test_hard_label_matches_argmax_ce():
     rng = np.random.default_rng(21)
     za = random_distribution(rng, 6, 3)

@@ -16,7 +16,6 @@ from ctckit.encoder import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    sgd_step,
 )
 from ctckit.errors import InvalidInputError
 from ctckit.lattice import LabelSequence, Vocabulary
@@ -210,19 +209,8 @@ class TestBackward:
 
 
 class TestOptimizers:
-    def test_sgd_zero_lr(self):
-        params = ParameterSet({"w": np.array([1.0, 2.0])})
-        out = sgd_step(params, {"w": np.array([5.0, 5.0])}, lr=0.0)
-        assert np.array_equal(out["w"], params["w"])
-
-    def test_sgd_quadratic_bowl(self):
-        # f(w) = 0.5 (w - 3)^2, gradient w - 3
-        params = ParameterSet({"w": np.array([10.0])})
-        for _ in range(1000):
-            params = sgd_step(params, {"w": params["w"] - 3.0}, lr=0.1)
-        assert math.isclose(params["w"][0], 3.0, abs_tol=1e-9)
-
     def test_adam_quadratic_bowl(self):
+        # f(w) = 0.5 (w - 3)^2, gradient w - 3
         params = ParameterSet({"w": np.array([10.0])})
         state = AdamState.fresh(params)
         for _ in range(1000):

@@ -97,6 +97,12 @@ class TestTraining:
         with pytest.raises(InvalidInputError):
             train_model(tiny_ds, tiny_flat, objective="rnnt")
 
+    def test_step_failure_names_epoch_and_step(self, tiny_flat, tiny_ds):
+        # resolve rejects an infinite rate; the Python API does not
+        flat = {**tiny_flat, "train.lr": float("inf")}
+        with pytest.raises(InvalidInputError, match=r"^epoch 0 step 0: .*non-finite"):
+            train_model(tiny_ds, flat, objective="ctc", seed=0)
+
     def test_infeasible_samples_skipped(self, tiny_flat, tiny_ds):
         # aggressive downsampling leaves some outputs too short to align
         flat = dict(tiny_flat, **{"model.downsample_factor": 8})
@@ -172,6 +178,27 @@ class TestRunRecord:
         for name in ("dev_greedy_ter", "dev_prefix_ter",
                      "test_greedy_ter", "test_prefix_ter"):
             assert getattr(again, name) == getattr(record, name)
+
+    def test_record_with_retired_keys_reruns(self, tmp_path):
+        # records written before these keys were removed still hold them
+        flat = cfgmod.resolve("smoke", assignments=TINY)
+        record, _ = run_experiment("cr_ctc", flat, seed=4)
+        record.config.update({
+            "train.optimizer": "adam",
+            "cr.normalize_by_frames": False,
+            "aug.mask_value": 0.0,
+        })
+        path = tmp_path / "old.json"
+        record.save(path)
+        old = RunRecord.load(path)
+        assert old.config["train.optimizer"] == "adam"
+        again = rerun_from_record(old)
+        assert again.loss_curve == record.loss_curve
+        assert again.test_prefix_ter == record.test_prefix_ter
+
+        old.config["train.optimizer"] = "sgd"
+        with pytest.raises(InvalidInputError, match="train.optimizer"):
+            rerun_from_record(old)
 
     def test_all_skipped_epoch_saves_strict_json(self, tmp_path, tiny_flat, tiny_ds):
         # labels of 3+ tokens cannot fit in the 1-2 frames left after
