@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, evaluate, decode, analyze, gradcheck, sweep.
 Config precedence: built-in defaults < --preset < --config file < --set.
 Output paths default into $CTCKIT_OUT_DIR (falling back to the working
-directory). Exit codes: 0 success, 1 invalid input, 2 capacity or
-infeasible-target errors.
+directory); every output folder is checked before any training. Exit codes:
+0 success, 1 invalid input, 2 an oracle asked beyond its capacity.
 """
 
 from __future__ import annotations
@@ -16,20 +16,13 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .ctc import ctc_grad
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .decode import greedy_decode, prefix_beam_decode
 from .encoder import check_param_shapes, forward, init_params, load_checkpoint
-from .errors import (
-    CapacityError,
-    CtcKitError,
-    InfeasibleTargetError,
-    InvalidInputError,
-    writing,
-)
+from .errors import CapacityError, CtcKitError, InvalidInputError, writing
 from .harness import (
     OUT_DIR_ENV,
-    RunRecord,
+    ctc_loss_from_logits,
     default_out_dir,
     run_experiment,
     sweep,
@@ -68,6 +61,15 @@ def _out_path(args, name: str) -> str:
     with writing("output directory", base):
         os.makedirs(base, exist_ok=True)
     return os.path.join(base, name)
+
+
+def _check_folder(what: str, path: str) -> str:
+    """``path``, once its folder is known to exist: a command checks its
+    outputs before it trains, and the write itself keeps its guard."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise InvalidInputError(f"cannot write {what} {path}: no folder {folder}")
+    return path
 
 
 def build_parser() -> _Parser:
@@ -128,8 +130,8 @@ def _load_or_generate(args, flat):
 
 def _cmd_gen_data(args) -> int:
     flat = _resolve(args)
+    out = _check_folder("dataset file", args.out or _out_path(args, "dataset.npz"))
     dataset = generate_dataset(cfgmod.data_config(flat))
-    out = args.out or _out_path(args, "dataset.npz")
     save_dataset(dataset, out)
     print(
         f"wrote {out}: train={len(dataset.train)} dev={len(dataset.dev)} "
@@ -142,6 +144,11 @@ def _cmd_train(args) -> int:
     flat = _resolve(args)
     objective = args.objective or str(flat["train.objective"])
     seed = args.seed if args.seed is not None else int(flat["train.seed"])
+    record_path = _check_folder("run record", args.record or _out_path(
+        args, f"run_{objective}_seed{seed}.json"
+    ))
+    if args.save:
+        _check_folder("checkpoint", args.save)
     dataset = _load_or_generate(args, flat)
     record, _ = run_experiment(
         objective,
@@ -149,9 +156,6 @@ def _cmd_train(args) -> int:
         seed=seed,
         dataset=dataset,
         checkpoint_path=args.save,
-    )
-    record_path = args.record or _out_path(
-        args, f"run_{objective}_seed{seed}.json"
     )
     record.save(record_path)
     final = record.loss_curve[-1]
@@ -228,8 +232,8 @@ def _cmd_gradcheck(args) -> int:
 
     def loss_of(ps):
         logits, tape = forward(ps, x, cfg)
-        bundle = ctc_grad(logits, y, vocab)
-        return bundle.loss, backward(ps, tape, bundle.grad)
+        res = ctc_loss_from_logits(logits, y, vocab)
+        return res.loss, backward(ps, tape, res.grads[0])
 
     _, grads = loss_of(params)
     h, worst = 1e-5, 0.0
@@ -254,8 +258,8 @@ def _cmd_sweep(args) -> int:
     flat = _resolve(args)
     axes = args.axes.split(",") if args.axes else None
     seeds = tuple(int(s) for s in args.seeds.split(","))
+    out = _check_folder("sweep CSV", args.out or _out_path(args, "sweep.csv"))
     rows = sweep(flat, axes=axes, seeds=seeds)
-    out = args.out or _out_path(args, "sweep.csv")
     write_sweep_csv(rows, out)
     for row in rows:
         print(
@@ -282,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (CapacityError, InfeasibleTargetError) as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CtcKitError as exc:

@@ -223,11 +223,6 @@ def _validate(flat: dict[str, object]) -> None:
     augment_config(flat, for_objective="cr_ctc")
 
 
-def config_to_text(flat: dict[str, object]) -> str:
-    lines = [f"{k} = {flat[k]}" for k in sorted(flat)]
-    return "\n".join(lines) + "\n"
-
-
 def section(prefix: str, flat: dict[str, object]):
     """The settings dataclass of ``prefix`` built from its ``prefix.field``
     keys, each cast to the type of the field's default."""

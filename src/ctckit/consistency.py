@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import ctc_loss, occupancy_marginals
+from .ctc import ObjectiveResult, ctc_loss, occupancy_marginals
 from .errors import InvalidInputError
 from .lattice import (
     DistributionLattice,
@@ -65,21 +65,6 @@ class CrConfig:
             raise InvalidInputError(f"frame_filter must be one of {FRAME_FILTERS}")
 
 
-@dataclass(frozen=True)
-class CrLossResult:
-    """Consistency loss with gradients for both branches' logits."""
-
-    loss: float
-    grad_a: np.ndarray
-    grad_b: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("grad_a", "grad_b"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
 def _frame_weights(
     mask: np.ndarray | None, frame_filter: str, num_frames: int
 ) -> np.ndarray:
@@ -103,8 +88,9 @@ def cr_loss(
     masks_a: np.ndarray | None,
     masks_b: np.ndarray | None,
     cfg: CrConfig,
-) -> CrLossResult:
-    """Consistency loss between two branch distributions.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Consistency loss between two branch distributions, with its
+    gradients with respect to branch a's and branch b's logits.
 
     A frame contributes to branch a's term (the one whose prediction is za)
     only if it passes branch a's own filter, and symmetrically for b.
@@ -148,22 +134,7 @@ def cr_loss(
             # target-side term of KL(p || q) wrt p's logits: p * (log(p/q) - KL)
             grad_b = grad_b + 0.5 * wa[:, None] * pb * (diff - kl_b_to_a[:, None])
             grad_a = grad_a + 0.5 * wb[:, None] * pa * (-diff - kl_a_to_b[:, None])
-    return CrLossResult(loss, grad_a, grad_b)
-
-
-@dataclass(frozen=True)
-class TotalLossResult:
-    """Paired objective value with per-branch logit gradients and the
-    component losses. Infeasible targets tag the result instead of raising
-    so training loops can skip and count."""
-
-    feasible: bool
-    loss: float
-    ctc_a: float
-    ctc_b: float
-    cr: float
-    grad_a: np.ndarray | None
-    grad_b: np.ndarray | None
+    return loss, grad_a, grad_b
 
 
 def paired_loss_from_logits(
@@ -174,8 +145,9 @@ def paired_loss_from_logits(
     masks_a: np.ndarray | None,
     masks_b: np.ndarray | None,
     cfg: CrConfig,
-) -> TotalLossResult:
-    """Paired objective evaluated directly on branch logits."""
+) -> ObjectiveResult:
+    """Paired objective evaluated directly on branch logits; its parts are
+    ``ctc_a``, ``ctc_b`` and ``cr``."""
     if logits_a.values.shape != logits_b.values.shape:
         raise InvalidInputError("branch logits must share one shape")
     za = softmax_rows(logits_a)
@@ -183,13 +155,12 @@ def paired_loss_from_logits(
     res_a = ctc_loss(za, y, vocab)
     res_b = ctc_loss(zb, y, vocab)
     if not (res_a.feasible and res_b.feasible):
-        return TotalLossResult(False, math.inf, math.inf, math.inf, 0.0, None, None)
-    cr = cr_loss(za, zb, masks_a, masks_b, cfg)
-    ctc_grad_a = za.probs - occupancy_marginals(za, res_a.table)
-    ctc_grad_b = zb.probs - occupancy_marginals(zb, res_b.table)
-    loss = 0.5 * (res_a.loss + res_b.loss) + cfg.alpha * cr.loss
-    grad_a = 0.5 * ctc_grad_a + cfg.alpha * cr.grad_a
-    grad_b = 0.5 * ctc_grad_b + cfg.alpha * cr.grad_b
-    return TotalLossResult(
-        True, loss, res_a.loss, res_b.loss, cr.loss, grad_a, grad_b
-    )
+        return ObjectiveResult(False, math.inf, None, {})
+    cr, cr_grad_a, cr_grad_b = cr_loss(za, zb, masks_a, masks_b, cfg)
+    ctc_grad_a = za.probs - occupancy_marginals(za, res_a)
+    ctc_grad_b = zb.probs - occupancy_marginals(zb, res_b)
+    loss = 0.5 * (res_a.loss + res_b.loss) + cfg.alpha * cr
+    grad_a = 0.5 * ctc_grad_a + cfg.alpha * cr_grad_a
+    grad_b = 0.5 * ctc_grad_b + cfg.alpha * cr_grad_b
+    parts = {"ctc_a": res_a.loss, "ctc_b": res_b.loss, "cr": cr}
+    return ObjectiveResult(True, loss, (grad_a, grad_b), parts)

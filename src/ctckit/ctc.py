@@ -1,5 +1,5 @@
-"""CTC negative log-likelihood, its analytic gradient, and an exhaustive
-enumeration oracle.
+"""CTC negative log-likelihood with its occupancy posteriors, the result
+type every training objective returns, and an exhaustive enumeration oracle.
 
 The loss is -log of the total probability of every alignment path that
 collapses to the target. The dynamic program runs over the extended target
@@ -23,58 +23,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InfeasibleTargetError, InvalidInputError
+from .errors import CapacityError, InvalidInputError
 from .lattice import (
     BLANK,
     DistributionLattice,
     LabelSequence,
-    LogitLattice,
     Vocabulary,
     collapse,
-    softmax_rows,
 )
 from .logspace import LOG_ZERO, log_add_scalar
 
-ALPHA_BETA_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ForwardBackwardTable:
-    """Alpha/beta tables over the extended target, whose lattice columns
-    (blank, y1, blank, ..., blank) are in ``extended``, plus the
-    log-likelihood read out at the last frame."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    extended: np.ndarray
-    log_likelihood: float
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "extended"):
-            getattr(self, name).setflags(write=False)
-
-
 @dataclass(frozen=True)
 class CtcLossResult:
-    """Tagged loss: ``feasible`` is False when no alignment exists, in which
-    case ``loss`` is +inf and ``table`` is None."""
+    """Tagged loss with its alpha/beta tables over the extended target, whose
+    lattice columns (blank, y1, blank, ..., blank) are in ``extended``.
+    ``feasible`` is False when no alignment exists, in which case ``loss``
+    is +inf and the three arrays are None."""
 
     feasible: bool
     loss: float
-    table: ForwardBackwardTable | None
+    alpha: np.ndarray | None
+    beta: np.ndarray | None
+    extended: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        for arr in (self.alpha, self.beta, self.extended):
+            if arr is not None:
+                arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
-class LossBundle:
-    """Scalar loss plus its gradient with respect to pre-softmax logits."""
+class ObjectiveResult:
+    """One training objective at one sample: the total loss, one gradient
+    with respect to the logits per view, and the component losses by name
+    (``ctc``, ``sr``, ``ctc_a``, ``ctc_b``, ``cr``). An infeasible target is
+    tagged rather than raised (``loss`` +inf, ``grads`` None, ``parts``
+    empty) so training loops can skip and count."""
 
+    feasible: bool
     loss: float
-    grad: np.ndarray
-
-    def __post_init__(self) -> None:
-        grad = np.asarray(self.grad, dtype=np.float64)
-        grad.setflags(write=False)
-        object.__setattr__(self, "grad", grad)
+    grads: tuple[np.ndarray, ...] | None
+    parts: dict[str, float]
 
 
 def is_feasible(num_frames: int, y: LabelSequence) -> bool:
@@ -121,7 +110,7 @@ def ctc_loss(
         raise InvalidInputError("lattice width does not match vocabulary")
     T = dist.num_frames
     if not is_feasible(T, y):
-        return CtcLossResult(False, math.inf, None)
+        return CtcLossResult(False, math.inf, None, None, None)
 
     ext = np.full(2 * len(y) + 1, BLANK, dtype=np.int64)
     ext[1::2] = [vocab.lattice_index(label) for label in y]
@@ -150,40 +139,19 @@ def ctc_loss(
     for t in range(T - 2, -1, -1):
         beta[t] = _step(beta[t + 1] + emit[t + 1], allow_from, -1)
 
-    table = ForwardBackwardTable(alpha, beta, ext, float(ll_alpha))
-    return CtcLossResult(True, float(-ll_alpha), table)
+    return CtcLossResult(True, float(-ll_alpha), alpha, beta, ext)
 
 
 def occupancy_marginals(
-    dist: DistributionLattice, table: ForwardBackwardTable
+    dist: DistributionLattice, res: CtcLossResult
 ) -> np.ndarray:
     """Posterior probability that frame t is aligned to lattice column k,
-    a T x |V'| matrix with rows summing to 1."""
-    gamma_states = np.exp(table.alpha + table.beta - table.log_likelihood)
+    a T x |V'| matrix with rows summing to 1. ``res`` must be feasible."""
+    gamma_states = np.exp(res.alpha + res.beta + res.loss)
     out = np.zeros((dist.num_frames, dist.extended_size))
-    for s, k in enumerate(table.extended):
+    for s, k in enumerate(res.extended):
         out[:, k] += gamma_states[:, s]
     return out
-
-
-def ctc_grad(
-    logits: LogitLattice, y: LabelSequence, vocab: Vocabulary
-) -> LossBundle:
-    """Loss and exact gradient with respect to the logits.
-
-    The gradient is softmax(logits) minus the occupancy posterior, so every
-    row sums to zero. Raises InfeasibleTargetError when no alignment exists
-    (the gradient is undefined there).
-    """
-    dist = softmax_rows(logits)
-    result = ctc_loss(dist, y, vocab)
-    if not result.feasible:
-        raise InfeasibleTargetError(
-            f"{len(y)} labels (+{y.adjacent_repeats()} forced blanks) need "
-            f"more than {logits.num_frames} frames"
-        )
-    grad = dist.probs - occupancy_marginals(dist, result.table)
-    return LossBundle(result.loss, grad)
 
 
 def ctc_loss_oracle(

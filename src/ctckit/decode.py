@@ -144,16 +144,6 @@ def decode_oracle(
     return LabelSequence(best_y)
 
 
-def sequence_log_posterior(
-    dist: DistributionLattice, y: LabelSequence, vocab: Vocabulary
-) -> float:
-    """log p(y | lattice); LOG_ZERO-scale for infeasible sequences."""
-    result = ctc_loss(dist, y, vocab)
-    if not result.feasible:
-        return LOG_ZERO
-    return -result.loss
-
-
 def _check(dist: DistributionLattice, vocab: Vocabulary) -> None:
     if dist.extended_size != vocab.extended_size:
         raise InvalidInputError("lattice width does not match vocabulary")

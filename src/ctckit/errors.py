@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit, and `writing`, which turns a
 failed write into InvalidInputError.
 
-The CLI maps these onto exit codes: InvalidInputError exits 1, while
-CapacityError and InfeasibleTargetError exit 2.
+The CLI maps these onto exit codes: InvalidInputError exits 1 and
+CapacityError exits 2. An infeasible CTC target is not an error: the losses
+tag it in their result, and training skips and counts the sample.
 """
 
 from contextlib import contextmanager
@@ -18,10 +19,6 @@ class InvalidInputError(CtcKitError):
 
 class CapacityError(CtcKitError):
     """An exhaustive oracle was asked to enumerate beyond its size cap."""
-
-
-class InfeasibleTargetError(CtcKitError):
-    """The target sequence admits no alignment at the given frame count."""
 
 
 @contextmanager

@@ -14,6 +14,7 @@ plain-CTC baseline.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 from . import config as cfgmod
 from .augment import augment, make_views, pool_mask_any
 from .consistency import paired_loss_from_logits
-from .ctc import ctc_loss, occupancy_marginals
+from .ctc import ObjectiveResult, ctc_loss, occupancy_marginals
 from .dataset import Dataset, generate_dataset
 from .decode import greedy_decode, prefix_beam_decode
 from .encoder import (
@@ -36,7 +37,7 @@ from .encoder import (
     init_params,
 )
 from .errors import InvalidInputError, writing
-from .lattice import softmax_rows
+from .lattice import LabelSequence, LogitLattice, Vocabulary, softmax_rows
 from .metrics import corpus_token_error_rate
 from .peakedness import PeakStats, peak_stats
 from .smoothing import sr_loss_from_logits
@@ -223,22 +224,35 @@ def _sample_grads(
         factor = enc_cfg.downsample_factor
         masks = [pool_mask_any(v.time_masked, factor) for v in views]
         res = paired_loss_from_logits(*logits, y, vocab, *masks, cr_cfg)
-        dlogits = (res.grad_a, res.grad_b)
     elif objective == "sr_ctc":
         res = sr_loss_from_logits(logits[0], y, vocab, sr_cfg)
-        dlogits = (res.grad,)
     else:
-        dist = softmax_rows(logits[0])
-        res = ctc_loss(dist, y, vocab)
-        if res.feasible:
-            dlogits = (dist.probs - occupancy_marginals(dist, res.table),)
+        res = ctc_loss_from_logits(logits[0], y, vocab)
     if not res.feasible:
         return None
 
-    grads = backward(params, tapes[0], dlogits[0])
-    for tape, dl in zip(tapes[1:], dlogits[1:]):
-        accumulate(grads, backward(params, tape, dl))
-    return res.loss, grads
+    grads = [backward(params, tape, dl) for tape, dl in zip(tapes, res.grads)]
+    for view_grads in grads[1:]:
+        accumulate(grads[0], view_grads)
+    return res.loss, grads[0]
+
+
+def ctc_loss_from_logits(
+    logits: LogitLattice, y: LabelSequence, vocab: Vocabulary
+) -> ObjectiveResult:
+    """Plain CTC objective on raw logits; its one part is ``ctc``.
+
+    The gradient is softmax(logits) minus the occupancy posterior, so every
+    row sums to zero. It lives here rather than in ``ctc`` because
+    ``perfbench/tracing.py`` times softmax_rows, ctc_loss and
+    occupancy_marginals where this module imports them.
+    """
+    dist = softmax_rows(logits)
+    res = ctc_loss(dist, y, vocab)
+    if not res.feasible:
+        return ObjectiveResult(False, math.inf, None, {})
+    grad = dist.probs - occupancy_marginals(dist, res)
+    return ObjectiveResult(True, res.loss, (grad,), {"ctc": res.loss})
 
 
 def evaluate_model(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,24 +58,11 @@ class Vocabulary:
         """Number of lattice columns: tokens plus the blank."""
         return len(self.tokens) + 1
 
-    @property
-    def blank_index(self) -> int:
-        """Lattice column of the blank symbol; fixed at 0 by convention."""
-        return BLANK
-
     def lattice_index(self, label: int) -> int:
         """Lattice column of vocabulary token ``label``."""
         if not 0 <= label < self.size:
             raise InvalidInputError(f"label {label} outside vocabulary")
         return label + 1
-
-    def label_of(self, lattice_index: int) -> int:
-        """Vocabulary index of a non-blank lattice column."""
-        if not 1 <= lattice_index < self.extended_size:
-            raise InvalidInputError(
-                f"lattice index {lattice_index} is blank or out of range"
-            )
-        return lattice_index - 1
 
     def token_of(self, label: int) -> str:
         if not 0 <= label < self.size:
@@ -94,10 +81,6 @@ class LabelSequence:
         if any(v < 0 for v in labels):
             raise InvalidInputError("labels must be non-negative")
         object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def of(cls, labels: Iterable[int]) -> "LabelSequence":
-        return cls(tuple(labels))
 
     def __len__(self) -> int:
         return len(self.labels)

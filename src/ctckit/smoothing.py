@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import ctc_loss, occupancy_marginals
+from .ctc import ObjectiveResult, ctc_loss, occupancy_marginals
 from .errors import InvalidInputError
 from .lattice import (
     DistributionLattice,
@@ -72,28 +72,17 @@ def sr_penalty(z: DistributionLattice) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-@dataclass(frozen=True)
-class SrLossResult:
-    """Smoothness-regularized objective with its logit gradient; infeasible
-    targets are tagged rather than raised."""
-
-    feasible: bool
-    loss: float
-    ctc: float
-    sr: float
-    grad: np.ndarray | None
-
-
 def sr_loss_from_logits(
     logits: LogitLattice, y: LabelSequence, vocab: Vocabulary, cfg: SrConfig
-) -> SrLossResult:
-    """Smoothness-regularized objective evaluated on raw logits."""
+) -> ObjectiveResult:
+    """Smoothness-regularized objective evaluated on raw logits; its parts
+    are ``ctc`` and ``sr``."""
     z = softmax_rows(logits)
     res = ctc_loss(z, y, vocab)
     if not res.feasible:
-        return SrLossResult(False, math.inf, math.inf, 0.0, None)
+        return ObjectiveResult(False, math.inf, None, {})
     penalty, pen_grad = sr_penalty(z)
-    ctc_grad = z.probs - occupancy_marginals(z, res.table)
+    ctc_grad = z.probs - occupancy_marginals(z, res)
     loss = res.loss + cfg.beta * penalty
     grad = ctc_grad + cfg.beta * pen_grad
-    return SrLossResult(True, loss, res.loss, penalty, grad)
+    return ObjectiveResult(True, loss, (grad,), {"ctc": res.loss, "sr": penalty})

@@ -26,13 +26,12 @@ from ctckit import (
     Vocabulary,
     augment,
     cr_loss,
-    ctc_grad,
     ctc_loss,
+    ctc_loss_from_logits,
     ctc_loss_oracle,
     decode_oracle,
     greedy_decode,
     is_feasible,
-    occupancy_marginals,
     paired_loss_from_logits,
     prefix_beam_decode,
     smooth_lattice,
@@ -128,12 +127,12 @@ def test_c02_gradient_correctness():
 
     # exact ctc gradient
     logits = rng.normal(size=(9, vocab.extended_size))
-    bundle = ctc_grad(LogitLattice(logits), y, vocab)
-    worst["ctc_grad"] = _max_rel_err(
+    (ctc_logit_grad,) = ctc_loss_from_logits(LogitLattice(logits), y, vocab).grads
+    worst["ctc_loss_from_logits"] = _max_rel_err(
         lambda l: ctc_loss(softmax_rows(LogitLattice(l)), y, vocab).loss,
-        bundle.grad,
+        ctc_logit_grad,
         logits,
-        _fd_coords(rng, bundle.grad),
+        _fd_coords(rng, ctc_logit_grad),
     )
 
     # consistency loss, stop-gradient mode: the reported per-branch grad
@@ -151,43 +150,43 @@ def test_c02_gradient_correctness():
         kl = np.where(target.probs > 0.0, target.probs * diff, 0.0).sum()
         return 0.5 * float(kl)
 
-    res_sg = cr_loss(pa0, pb0, None, None, sg_cfg)
+    _, sg_grad_a, sg_grad_b = cr_loss(pa0, pb0, None, None, sg_cfg)
     worst["cr_loss sg grad_a"] = _max_rel_err(
         lambda l: sg_source_term(l, pb0),
-        res_sg.grad_a,
+        sg_grad_a,
         la,
-        _fd_coords(rng, res_sg.grad_a),
+        _fd_coords(rng, sg_grad_a),
     )
     worst["cr_loss sg grad_b"] = _max_rel_err(
         lambda l: sg_source_term(l, pa0),
-        res_sg.grad_b,
+        sg_grad_b,
         lb,
-        _fd_coords(rng, res_sg.grad_b),
+        _fd_coords(rng, sg_grad_b),
     )
 
     # consistency loss, flow-gradient mode: plain fd through the whole value
     fl_cfg = CrConfig(target_mode="flow_gradient")
-    res_fl = cr_loss(pa0, pb0, None, None, fl_cfg)
+    _, fl_grad_a, fl_grad_b = cr_loss(pa0, pb0, None, None, fl_cfg)
 
     def flow_value(l, side):
         za = softmax_rows(LogitLattice(l if side == "a" else la))
         zb = softmax_rows(LogitLattice(l if side == "b" else lb))
-        return cr_loss(za, zb, None, None, fl_cfg).loss
+        return cr_loss(za, zb, None, None, fl_cfg)[0]
 
     worst["cr_loss flow grad_a"] = _max_rel_err(
-        lambda l: flow_value(l, "a"), res_fl.grad_a, la,
-        _fd_coords(rng, res_fl.grad_a),
+        lambda l: flow_value(l, "a"), fl_grad_a, la,
+        _fd_coords(rng, fl_grad_a),
     )
     worst["cr_loss flow grad_b"] = _max_rel_err(
-        lambda l: flow_value(l, "b"), res_fl.grad_b, lb,
-        _fd_coords(rng, res_fl.grad_b),
+        lambda l: flow_value(l, "b"), fl_grad_b, lb,
+        _fd_coords(rng, fl_grad_b),
     )
 
     # smoothness-regularized objective: fd surrogate freezes the smoothed
     # target distribution, matching the reported gradient's contract
     sr_cfg = SrConfig(beta=0.3)
     lz = rng.normal(size=(10, vocab.extended_size))
-    sr_res = sr_loss_from_logits(LogitLattice(lz), y, vocab, sr_cfg)
+    (sr_grad,) = sr_loss_from_logits(LogitLattice(lz), y, vocab, sr_cfg).grads
     smooth0 = smooth_lattice(softmax_rows(LogitLattice(lz)))
 
     def sr_surrogate(l):
@@ -201,7 +200,7 @@ def test_c02_gradient_correctness():
         return ctc_part + sr_cfg.beta * float(pen)
 
     worst["sr_loss_from_logits"] = _max_rel_err(
-        sr_surrogate, sr_res.grad, lz, _fd_coords(rng, sr_res.grad)
+        sr_surrogate, sr_grad, lz, _fd_coords(rng, sr_grad)
     )
 
     # toy encoder backward, end to end through the exact ctc gradient
@@ -220,9 +219,7 @@ def test_c02_gradient_correctness():
         return ctc_loss(softmax_rows(lat), y, vocab).loss
 
     lat, tape = forward(params, x, enc_cfg)
-    dlogits = softmax_rows(lat).probs - occupancy_marginals(
-        softmax_rows(lat), ctc_loss(softmax_rows(lat), y, vocab).table
-    )
+    (dlogits,) = ctc_loss_from_logits(lat, y, vocab).grads
     grads = backward(params, tape, dlogits)
     enc_worst = 0.0
     for name in ("in.w", "layer0.w", "layer1.b", "out.w", "out.b"):
@@ -258,23 +255,23 @@ def test_c03_stop_gradient_contract():
     # everything left in grad_b is the target-side contribution, which
     # stop_gradient must make exactly zero
     cfg = CrConfig(frame_filter="exclude_self_masked")
-    res = cr_loss(za, zb, np.zeros(8, bool), np.ones(8, bool), cfg)
-    target_only_zero = bool(np.all(res.grad_b == 0.0))
+    _, _, grad_b = cr_loss(za, zb, np.zeros(8, bool), np.ones(8, bool), cfg)
+    target_only_zero = bool(np.all(grad_b == 0.0))
 
     # accumulating that contribution must leave any buffer bit-identical
-    acc = rng.normal(size=res.grad_b.shape)
-    accumulated = acc + res.grad_b
+    acc = rng.normal(size=grad_b.shape)
+    accumulated = acc + grad_b
     bit_identical = accumulated.tobytes() == acc.tobytes()
 
     # with all frames active, the stop-gradient branch gradients must be
     # bit-for-bit the prediction-side formula alone
-    full = cr_loss(za, zb, None, None, CrConfig())
+    _, full_grad_a, full_grad_b = cr_loss(za, zb, None, None, CrConfig())
     pa, pb = za.probs, zb.probs
     pred_only_a = 0.5 * (pa - pb)
     pred_only_b = 0.5 * (pb - pa)
     formula_match = (
-        full.grad_a.tobytes() == pred_only_a.tobytes()
-        and full.grad_b.tobytes() == pred_only_b.tobytes()
+        full_grad_a.tobytes() == pred_only_a.tobytes()
+        and full_grad_b.tobytes() == pred_only_b.tobytes()
     )
 
     _report(

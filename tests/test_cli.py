@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ctckit import cli
 from ctckit.cli import main
 from ctckit.dataset import load_dataset
 from ctckit.harness import RunRecord
@@ -183,7 +184,15 @@ class TestExitCodes:
         ],
         ids=["plot-data", "gen-data", "out-dir", "record", "checkpoint", "sweep"],
     )
-    def test_unwritable_output_path_exits_one(self, tmp_path, capsys, argv):
+    def test_unwritable_output_path_exits_one(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # a bad output path must fail before any training starts
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the output path")
+
+        monkeypatch.setattr(cli, "run_experiment", no_training)
+        monkeypatch.setattr(cli, "sweep", no_training)
         lat = peaked_lattice(tmp_path)
         bad = tmp_path / "missing"
         argv = [a.format(lat=lat, bad=bad) for a in argv]

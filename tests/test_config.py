@@ -93,11 +93,6 @@ class TestParsing:
         with pytest.raises(InvalidInputError, match="unknown config key"):
             cfgmod.parse_config_text(f"{key} = {cfgmod.RETIRED[key]}")
 
-    def test_round_trip_through_text(self):
-        flat = cfgmod.resolve(preset="desk")
-        again = cfgmod.parse_config_text(cfgmod.config_to_text(flat))
-        assert again == flat
-
     def test_every_key_documented(self):
         for key, (default, doc) in cfgmod.KEY_TABLE.items():
             assert doc.strip(), key

@@ -30,13 +30,15 @@ def dist_of(rows):
 
 def test_identical_branches_zero_loss_zero_grads():
     z = random_distribution(RNG, 6, 3)
-    res = cr_loss(z, z, None, None, CrConfig())
-    assert res.loss == 0.0
-    assert np.all(res.grad_a == 0.0)
-    assert np.all(res.grad_b == 0.0)
-    flow = cr_loss(z, z, None, None, CrConfig(target_mode="flow_gradient"))
-    assert flow.loss == 0.0
-    assert np.all(flow.grad_a == 0.0)
+    loss, grad_a, grad_b = cr_loss(z, z, None, None, CrConfig())
+    assert loss == 0.0
+    assert np.all(grad_a == 0.0)
+    assert np.all(grad_b == 0.0)
+    flow, flow_grad_a, _ = cr_loss(
+        z, z, None, None, CrConfig(target_mode="flow_gradient")
+    )
+    assert flow == 0.0
+    assert np.all(flow_grad_a == 0.0)
 
 
 def test_frozen_single_frame_value():
@@ -46,12 +48,12 @@ def test_frozen_single_frame_value():
     kl_ba = 0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
     kl_ab = 0.75 * math.log(0.75 / 0.5) + 0.25 * math.log(0.25 / 0.5)
     expected = 0.5 * (kl_ba + kl_ab)
-    res = cr_loss(za, zb, None, None, CrConfig())
-    assert res.loss == pytest.approx(expected, abs=1e-14)
-    assert res.loss == pytest.approx(0.13732653608351372, abs=1e-12)
+    loss, grad_a, grad_b = cr_loss(za, zb, None, None, CrConfig())
+    assert loss == pytest.approx(expected, abs=1e-14)
+    assert loss == pytest.approx(0.13732653608351372, abs=1e-12)
     # stop-gradient prediction-side gradients
-    assert np.allclose(res.grad_a, 0.5 * (za.probs - zb.probs), atol=1e-15)
-    assert np.allclose(res.grad_b, 0.5 * (zb.probs - za.probs), atol=1e-15)
+    assert np.allclose(grad_a, 0.5 * (za.probs - zb.probs), atol=1e-15)
+    assert np.allclose(grad_b, 0.5 * (zb.probs - za.probs), atol=1e-15)
 
 
 def test_loss_nonnegative_and_symmetric():
@@ -59,10 +61,10 @@ def test_loss_nonnegative_and_symmetric():
         rng = np.random.default_rng(seed)
         za = random_distribution(rng, 5, 3)
         zb = random_distribution(rng, 5, 3)
-        r1 = cr_loss(za, zb, None, None, CrConfig())
-        r2 = cr_loss(zb, za, None, None, CrConfig())
-        assert r1.loss >= 0.0
-        assert r1.loss == pytest.approx(r2.loss, abs=1e-12)
+        r1, _, _ = cr_loss(za, zb, None, None, CrConfig())
+        r2, _, _ = cr_loss(zb, za, None, None, CrConfig())
+        assert r1 >= 0.0
+        assert r1 == pytest.approx(r2, abs=1e-12)
 
 
 def test_one_hot_target_reduces_to_neg_log_prob():
@@ -73,14 +75,14 @@ def test_one_hot_target_reduces_to_neg_log_prob():
     masks_b_all = np.ones(1, dtype=bool)
     # isolate branch a's term by excluding b's frames via its filter
     iso = CrConfig(frame_filter="exclude_self_masked")
-    res = cr_loss(za, zb, np.zeros(1, dtype=bool), masks_b_all, iso)
-    assert res.loss == pytest.approx(0.5 * -math.log(0.3), abs=1e-12)
+    loss, _, _ = cr_loss(za, zb, np.zeros(1, dtype=bool), masks_b_all, iso)
+    assert loss == pytest.approx(0.5 * -math.log(0.3), abs=1e-12)
     # target-side zeros contribute zero, so branch a's term stays moderate;
     # branch b's own prediction term hits log(0) on its zero entries, which
     # the sentinel turns into a huge finite penalty instead of NaN
-    full = cr_loss(za, zb, None, None, cfg)
-    assert not math.isnan(full.loss)
-    assert full.loss > 1e20
+    full, _, _ = cr_loss(za, zb, None, None, cfg)
+    assert not math.isnan(full)
+    assert full > 1e20
 
 
 def test_stop_gradient_target_branch_bitwise_zero():
@@ -92,10 +94,10 @@ def test_stop_gradient_target_branch_bitwise_zero():
     cfg = CrConfig(frame_filter="exclude_self_masked")
     masks_a = np.zeros(8, dtype=bool)  # a keeps all frames
     masks_b = np.ones(8, dtype=bool)  # b drops all of its own term
-    res = cr_loss(za, zb, masks_a, masks_b, cfg)
-    assert res.loss > 0.0
-    assert np.all(res.grad_b == 0.0)
-    assert np.any(res.grad_a != 0.0)
+    loss, grad_a, grad_b = cr_loss(za, zb, masks_a, masks_b, cfg)
+    assert loss > 0.0
+    assert np.all(grad_b == 0.0)
+    assert np.any(grad_a != 0.0)
 
 
 def test_flow_gradient_target_branch_nonzero():
@@ -105,8 +107,8 @@ def test_flow_gradient_target_branch_nonzero():
     cfg = CrConfig(frame_filter="exclude_self_masked", target_mode="flow_gradient")
     masks_a = np.zeros(8, dtype=bool)
     masks_b = np.ones(8, dtype=bool)
-    res = cr_loss(za, zb, masks_a, masks_b, cfg)
-    assert np.any(res.grad_b != 0.0)
+    _, _, grad_b = cr_loss(za, zb, masks_a, masks_b, cfg)
+    assert np.any(grad_b != 0.0)
 
 
 def fd_check(loss_fn, grad, base_logits, coords, h=1e-5, tol=1e-4):
@@ -129,7 +131,7 @@ def test_grad_a_finite_difference_stop_gradient():
     lb = rng.normal(size=(5, 3))
     zb = softmax_rows(LogitLattice(lb))
     cfg = CrConfig()
-    res = cr_loss(softmax_rows(LogitLattice(la)), zb, None, None, cfg)
+    _, grad_a, _ = cr_loss(softmax_rows(LogitLattice(la)), zb, None, None, cfg)
 
     def surrogate(logits_a):
         za = softmax_rows(LogitLattice(logits_a))
@@ -137,17 +139,17 @@ def test_grad_a_finite_difference_stop_gradient():
         return 0.5 * float(kl)
 
     coords = [(int(rng.integers(5)), int(rng.integers(3))) for _ in range(12)]
-    fd_check(surrogate, res.grad_a, la, coords)
+    fd_check(surrogate, grad_a, la, coords)
     # and symmetrically for branch b
     za = softmax_rows(LogitLattice(la))
-    res_b = cr_loss(za, zb, None, None, cfg)
+    _, _, grad_b = cr_loss(za, zb, None, None, cfg)
 
     def surrogate_b(logits_b):
         z = softmax_rows(LogitLattice(logits_b))
         kl = (za.probs * (za.log_probs - z.log_probs)).sum()
         return 0.5 * float(kl)
 
-    fd_check(surrogate_b, res_b.grad_b, lb, coords)
+    fd_check(surrogate_b, grad_b, lb, coords)
 
 
 def test_both_grads_finite_difference_flow_gradient():
@@ -159,14 +161,14 @@ def test_both_grads_finite_difference_flow_gradient():
     def loss_at(a, b):
         return cr_loss(
             softmax_rows(LogitLattice(a)), softmax_rows(LogitLattice(b)), None, None, cfg
-        ).loss
+        )[0]
 
-    res = cr_loss(
+    _, grad_a, grad_b = cr_loss(
         softmax_rows(LogitLattice(la)), softmax_rows(LogitLattice(lb)), None, None, cfg
     )
     coords = [(int(rng.integers(4)), int(rng.integers(3))) for _ in range(10)]
-    fd_check(lambda a: loss_at(a, lb), res.grad_a, la, coords)
-    fd_check(lambda b: loss_at(la, b), res.grad_b, lb, coords)
+    fd_check(lambda a: loss_at(a, lb), grad_a, la, coords)
+    fd_check(lambda b: loss_at(la, b), grad_b, lb, coords)
 
 
 def test_frame_filter_partition():
@@ -175,16 +177,18 @@ def test_frame_filter_partition():
     zb = random_distribution(rng, 10, 3)
     masks_a = rng.random(10) < 0.4
     masks_b = rng.random(10) < 0.4
-    full = cr_loss(za, zb, masks_a, masks_b, CrConfig(frame_filter="all"))
-    on_masked = cr_loss(
+    full, full_grad_a, _ = cr_loss(
+        za, zb, masks_a, masks_b, CrConfig(frame_filter="all")
+    )
+    on_masked, on_masked_grad_a, _ = cr_loss(
         za, zb, masks_a, masks_b, CrConfig(frame_filter="exclude_self_unmasked")
     )
-    on_unmasked = cr_loss(
+    on_unmasked, on_unmasked_grad_a, _ = cr_loss(
         za, zb, masks_a, masks_b, CrConfig(frame_filter="exclude_self_masked")
     )
-    assert full.loss == pytest.approx(on_masked.loss + on_unmasked.loss, abs=1e-12)
+    assert full == pytest.approx(on_masked + on_unmasked, abs=1e-12)
     assert np.allclose(
-        full.grad_a, on_masked.grad_a + on_unmasked.grad_a, atol=1e-15
+        full_grad_a, on_masked_grad_a + on_unmasked_grad_a, atol=1e-15
     )
 
 
@@ -198,20 +202,20 @@ def test_hard_label_matches_argmax_ce():
     rng = np.random.default_rng(21)
     za = random_distribution(rng, 6, 3)
     zb = random_distribution(rng, 6, 3)
-    res = cr_loss(za, zb, None, None, CrConfig(distance="hard_label_ce"))
+    loss, _, _ = cr_loss(za, zb, None, None, CrConfig(distance="hard_label_ce"))
     expected = 0.0
     for t in range(6):
         expected += -0.5 * za.log_probs[t, int(np.argmax(zb.probs[t]))]
         expected += -0.5 * zb.log_probs[t, int(np.argmax(za.probs[t]))]
-    assert res.loss == pytest.approx(float(expected), abs=1e-12)
+    assert loss == pytest.approx(float(expected), abs=1e-12)
 
 
 def test_hard_label_near_one_hot_small_loss():
     delta = 1e-3
     za = dist_of([[1 - delta, delta]])
-    res = cr_loss(za, za, None, None, CrConfig(distance="hard_label_ce"))
-    assert res.loss == pytest.approx(-math.log(1 - delta), abs=1e-12)
-    assert res.loss == pytest.approx(delta, rel=1e-2)
+    loss, _, _ = cr_loss(za, za, None, None, CrConfig(distance="hard_label_ce"))
+    assert loss == pytest.approx(-math.log(1 - delta), abs=1e-12)
+    assert loss == pytest.approx(delta, rel=1e-2)
 
 
 def test_hard_label_grad_finite_difference():
@@ -220,13 +224,13 @@ def test_hard_label_grad_finite_difference():
     lb = rng.normal(size=(5, 3))
     zb = softmax_rows(LogitLattice(lb))
     cfg = CrConfig(distance="hard_label_ce")
-    res = cr_loss(softmax_rows(LogitLattice(la)), zb, None, None, cfg)
+    _, grad_a, _ = cr_loss(softmax_rows(LogitLattice(la)), zb, None, None, cfg)
 
     def loss_at(logits_a):
-        return cr_loss(softmax_rows(LogitLattice(logits_a)), zb, None, None, cfg).loss
+        return cr_loss(softmax_rows(LogitLattice(logits_a)), zb, None, None, cfg)[0]
 
     coords = [(int(rng.integers(5)), int(rng.integers(3))) for _ in range(10)]
-    fd_check(loss_at, res.grad_a, la, coords)
+    fd_check(loss_at, grad_a, la, coords)
 
 
 def test_paired_loss_identical_views_reduces_to_ctc():
@@ -240,7 +244,7 @@ def test_paired_loss_identical_views_reduces_to_ctc():
         )
         assert res.feasible
         assert abs(res.loss - single) <= 1e-12
-        assert res.cr == 0.0
+        assert res.parts["cr"] == 0.0
 
 
 def test_paired_loss_infeasible_tagged():
@@ -250,7 +254,7 @@ def test_paired_loss_infeasible_tagged():
     )
     assert not res.feasible
     assert res.loss == math.inf
-    assert res.grad_a is None
+    assert res.grads is None
 
 
 def test_paired_loss_grads_finite_difference_flow_mode():
@@ -276,8 +280,8 @@ def test_paired_loss_grads_finite_difference_flow_mode():
         ).loss
 
     coords = [(int(rng.integers(6)), int(rng.integers(3))) for _ in range(10)]
-    fd_check(loss_at_a, res.grad_a, la, coords)
-    fd_check(loss_at_b, res.grad_b, lb, coords)
+    fd_check(loss_at_a, res.grads[0], la, coords)
+    fd_check(loss_at_b, res.grads[1], lb, coords)
 
 
 def test_paired_loss_grads_finite_difference_stop_mode():
@@ -305,8 +309,8 @@ def test_paired_loss_grads_finite_difference_stop_mode():
         return 0.5 * ctc_loss(zb, y, VAB).loss + cfg.alpha * 0.5 * float(kl)
 
     coords = [(int(rng.integers(6)), int(rng.integers(3))) for _ in range(10)]
-    fd_check(surrogate_a, res.grad_a, la, coords)
-    fd_check(surrogate_b, res.grad_b, lb, coords)
+    fd_check(surrogate_a, res.grads[0], la, coords)
+    fd_check(surrogate_b, res.grads[1], lb, coords)
 
 
 def test_total_loss_through_model_forward():
@@ -320,7 +324,7 @@ def test_total_loss_through_model_forward():
     )
     assert res.feasible
     assert res.loss > 0
-    assert res.grad_a.shape == (6, 3)
+    assert res.grads[0].shape == (6, 3)
 
 
 def test_total_loss_frame_count_mismatch_rejected():

@@ -7,18 +7,20 @@ from hypothesis import strategies as st
 
 from ctckit import (
     CapacityError,
-    InfeasibleTargetError,
+    CrConfig,
     LabelSequence,
     LogitLattice,
+    SrConfig,
     Vocabulary,
-    ctc_grad,
     ctc_loss,
+    ctc_loss_from_logits,
     ctc_loss_oracle,
     is_feasible,
     occupancy_marginals,
+    paired_loss_from_logits,
     softmax_rows,
+    sr_loss_from_logits,
 )
-from ctckit.ctc import ALPHA_BETA_TOL
 from ctckit.logspace import log_add_scalar
 
 from conftest import one_hot_distribution, random_distribution
@@ -26,6 +28,7 @@ from conftest import one_hot_distribution, random_distribution
 VA = Vocabulary(("a",))
 VAB = Vocabulary(("a", "b"))
 RNG = np.random.default_rng(42)
+ALPHA_BETA_TOL = 1e-8
 
 
 def uniform_dist(num_frames, extended_size):
@@ -62,7 +65,7 @@ def test_infeasible_is_tagged_not_raised():
     res = ctc_loss(d, LabelSequence((0, 0)), VA)
     assert not res.feasible
     assert res.loss == math.inf
-    assert res.table is None
+    assert res.alpha is None and res.beta is None and res.extended is None
 
 
 def test_feasibility_rule():
@@ -108,44 +111,81 @@ def test_alpha_beta_consistency(seed):
     rng = np.random.default_rng(100 + seed)
     d = random_distribution(rng, 6, 3)
     res = ctc_loss(d, LabelSequence((0, 1, 0)), VAB)
-    t = res.table
     # read the likelihood out of beta at frame 0 instead of alpha at T-1
-    emit0 = d.log_probs[0, t.extended]
-    from_beta = log_add_scalar(t.beta[0, 0] + emit0[0], t.beta[0, 1] + emit0[1])
-    assert abs(t.log_likelihood - from_beta) <= ALPHA_BETA_TOL
+    emit0 = d.log_probs[0, res.extended]
+    from_beta = log_add_scalar(
+        res.beta[0, 0] + emit0[0], res.beta[0, 1] + emit0[1]
+    )
+    assert abs(-res.loss - from_beta) <= ALPHA_BETA_TOL
 
 
 def test_occupancy_rows_sum_to_one():
     d = random_distribution(RNG, 5, 3)
     res = ctc_loss(d, LabelSequence((1, 0)), VAB)
-    gamma = occupancy_marginals(d, res.table)
+    gamma = occupancy_marginals(d, res)
     assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(gamma >= 0.0)
 
 
 def test_grad_frozen_single_frame():
     # symmetric logits, single label: posterior puts all mass on the label
-    bundle = ctc_grad(LogitLattice(np.zeros((1, 2))), LabelSequence((0,)), VA)
-    assert bundle.grad[0, 0] == pytest.approx(0.5, abs=1e-12)
-    assert bundle.grad[0, 1] == pytest.approx(-0.5, abs=1e-12)
+    res = ctc_loss_from_logits(
+        LogitLattice(np.zeros((1, 2))), LabelSequence((0,)), VA
+    )
+    assert res.grads[0][0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert res.grads[0][0, 1] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_grad_rows_sum_to_zero():
     logits = LogitLattice(RNG.normal(size=(6, 3)))
-    bundle = ctc_grad(logits, LabelSequence((0, 1)), VAB)
-    assert np.all(np.abs(bundle.grad.sum(axis=1)) <= 1e-9)
+    (grad,) = ctc_loss_from_logits(logits, LabelSequence((0, 1)), VAB).grads
+    assert np.all(np.abs(grad.sum(axis=1)) <= 1e-9)
 
 
-def test_grad_infeasible_raises():
-    with pytest.raises(InfeasibleTargetError):
-        ctc_grad(LogitLattice(np.zeros((2, 2))), LabelSequence((0, 0)), VA)
+SR = SrConfig(beta=0.3)
+CR = CrConfig(alpha=0.2)
+
+# objective -> (its loss from its parts, number of views)
+OBJECTIVE_PARTS = {
+    "ctc": (lambda p: p["ctc"], 1),
+    "sr_ctc": (lambda p: p["ctc"] + SR.beta * p["sr"], 1),
+    "cr_ctc": (lambda p: 0.5 * (p["ctc_a"] + p["ctc_b"]) + CR.alpha * p["cr"], 2),
+}
+
+
+@pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
+@pytest.mark.parametrize("objective", sorted(OBJECTIVE_PARTS))
+def test_objective_parts_add_up(objective, feasible):
+    # (0, 0) needs a forced blank, so 2 frames cannot hold it
+    y, T = (LabelSequence((0, 1)), 6) if feasible else (LabelSequence((0, 0)), 2)
+    rng = np.random.default_rng(12)
+    la = LogitLattice(rng.normal(size=(T, 3)))
+    lb = LogitLattice(rng.normal(size=(T, 3)))
+    if objective == "ctc":
+        res = ctc_loss_from_logits(la, y, VAB)
+    elif objective == "sr_ctc":
+        res = sr_loss_from_logits(la, y, VAB, SR)
+    else:
+        res = paired_loss_from_logits(la, lb, y, VAB, None, None, CR)
+    if not feasible:
+        assert not res.feasible
+        assert res.loss == math.inf
+        assert res.grads is None
+        assert res.parts == {}
+        return
+    total_of, views = OBJECTIVE_PARTS[objective]
+    assert res.feasible
+    assert res.loss == total_of(res.parts)
+    assert all(math.isfinite(v) for v in res.parts.values())
+    assert len(res.grads) == views
+    assert all(g.shape == (T, 3) for g in res.grads)
 
 
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(5)
     base = rng.normal(size=(5, 3))
     y = LabelSequence((1, 0))
-    bundle = ctc_grad(LogitLattice(base), y, VAB)
+    (grad,) = ctc_loss_from_logits(LogitLattice(base), y, VAB).grads
     h = 1e-5
     for _ in range(12):
         t = int(rng.integers(0, base.shape[0]))
@@ -158,7 +198,7 @@ def test_grad_matches_finite_differences():
             ctc_loss(softmax_rows(LogitLattice(up)), y, VAB).loss
             - ctc_loss(softmax_rows(LogitLattice(down)), y, VAB).loss
         ) / (2 * h)
-        an = bundle.grad[t, k]
+        an = grad[t, k]
         assert abs(fd - an) <= 1e-4 * max(1.0, abs(an))
 
 
@@ -178,7 +218,7 @@ def test_loss_direction_under_target_token_boost(seed):
     base = ctc_loss(d, y, VAB)
     t = int(rng.integers(0, T))
     col = VAB.lattice_index(0)
-    gamma = occupancy_marginals(d, base.table)
+    gamma = occupancy_marginals(d, base)
     margin = gamma[t, col] - d.probs[t, col]
     probs = d.probs.copy()
     probs[t, col] *= 1.0001  # small boost keeps the first-order sign valid

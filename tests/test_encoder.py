@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from ctckit.ctc import ctc_grad
 from ctckit.encoder import (
     AdamState,
     EncoderConfig,
@@ -18,6 +17,7 @@ from ctckit.encoder import (
     save_checkpoint,
 )
 from ctckit.errors import InvalidInputError
+from ctckit.harness import ctc_loss_from_logits
 from ctckit.lattice import LabelSequence, Vocabulary
 
 VOCAB = Vocabulary.generic(2)
@@ -172,8 +172,8 @@ class TestBackward:
         def loss_and_grads(ps):
             rng = np.random.default_rng(seed) if train else None
             logits, tape = forward(ps, x, cfg, train=train, rng=rng)
-            bundle = ctc_grad(logits, y, VOCAB)
-            return bundle.loss, backward(ps, tape, bundle.grad)
+            res = ctc_loss_from_logits(logits, y, VOCAB)
+            return res.loss, backward(ps, tape, res.grads[0])
 
         _, grads = loss_and_grads(params)
         h = 1e-5

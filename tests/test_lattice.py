@@ -29,9 +29,7 @@ def test_vocabulary_layout():
     v = Vocabulary(("a", "b", "c"))
     assert v.size == 3
     assert v.extended_size == 4
-    assert v.blank_index == 0
     assert v.lattice_index(0) == 1
-    assert v.label_of(3) == 2
     assert v.token_of(1) == "b"
 
 
