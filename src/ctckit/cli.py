@@ -174,7 +174,17 @@ def _cmd_evaluate(args) -> int:
     from .harness import evaluate_model
 
     flat = _resolve(args)
-    params, _ = load_checkpoint(args.load)
+    params, meta = load_checkpoint(args.load)
+    # settings such as model.downsample_factor change no tensor shape
+    saved = meta.get("config")
+    if isinstance(saved, dict):
+        differ = [f"{k} {saved[k]!r} vs {flat[k]!r}" for k in sorted(flat)
+                  if k.startswith("model.") and k in saved and saved[k] != flat[k]]
+        if differ:
+            raise InvalidInputError(
+                f"checkpoint {args.load} was trained with other model settings "
+                f"(checkpoint vs config): {', '.join(differ)}"
+            )
     dataset = _load_or_generate(args, flat)
     check_param_shapes(
         params,

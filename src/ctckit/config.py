@@ -17,7 +17,7 @@ from .augment import SpecAugmentConfig
 from .consistency import CrConfig
 from .dataset import SyntheticTaskConfig
 from .encoder import EncoderConfig
-from .errors import InvalidInputError
+from .errors import InvalidInputError, reading
 from .smoothing import SrConfig
 
 OBJECTIVES = ("ctc", "cr_ctc", "sr_ctc")
@@ -79,7 +79,6 @@ KEY_TABLE: dict[str, tuple[object, str]] = {
     "train.batch_size": (16, "samples per gradient step"),
     "train.lr": (2e-3, "learning rate"),
     "train.seed": (0, "training seed (init, dropout, shuffling)"),
-    "train.fair_cost": (True, "halve epochs and batch for cr_ctc"),
     "eval.beam": (4, "prefix beam width"),
 }
 
@@ -91,6 +90,7 @@ RETIRED: dict[str, object] = {
     "train.optimizer": "adam",
     "cr.normalize_by_frames": False,
     "aug.mask_value": 0.0,
+    "train.fair_cost": True,
 }
 
 PRESETS: dict[str, dict[str, object]] = {
@@ -138,13 +138,6 @@ def _coerce(key: str, text: str) -> object:
         raise InvalidInputError(f"unknown config key {key!r}")
     default = DEFAULTS[key]
     text = text.strip()
-    if isinstance(default, bool):
-        low = text.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise InvalidInputError(f"{key}: expected a boolean, got {text!r}")
     try:
         if isinstance(default, int):
             return int(text)
@@ -169,11 +162,9 @@ def parse_config_text(text: str) -> dict[str, object]:
 
 
 def load_config_file(path) -> dict[str, object]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read config file {path}: {exc}") from exc
+    with reading("config file", path), open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_config_text(text)
 
 
 def parse_assignments(pairs: list[str]) -> dict[str, object]:

@@ -13,12 +13,11 @@ is bit-reproducible from the config.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, writing
+from .errors import InvalidInputError, load_arrays, reading, save_arrays, writing
 from .lattice import LabelSequence, Vocabulary
 
 _SPLITS = ("train", "dev", "test")
@@ -116,31 +115,22 @@ def save_dataset(dataset: Dataset, path) -> None:
         for i, s in enumerate(samples):
             arrays[f"{split}.{i}.features"] = s.features
             arrays[f"{split}.{i}.labels"] = np.array(s.labels.labels, dtype=np.int64)
-    arrays["config_json"] = np.frombuffer(
-        json.dumps(asdict(dataset.config), sort_keys=True).encode("utf-8"),
-        dtype=np.uint8,
-    )
     with writing("dataset file", path):
-        np.savez_compressed(path, **arrays)
+        save_arrays(path, arrays, asdict(dataset.config))
 
 
 def load_dataset(path) -> Dataset:
-    try:
-        with np.load(path) as data:
-            cfg = SyntheticTaskConfig(
-                **json.loads(bytes(data["config_json"]).decode("utf-8"))
-            )
-            prototypes = data["prototypes"]
-            splits = []
-            for split in _SPLITS:
-                count = int(data[f"{split}.count"])
-                samples = []
-                for i in range(count):
-                    labels = tuple(int(v) for v in data[f"{split}.{i}.labels"])
-                    samples.append(
-                        Sample(data[f"{split}.{i}.features"], LabelSequence(labels))
-                    )
-                splits.append(tuple(samples))
-    except (KeyError, ValueError, json.JSONDecodeError, OSError) as exc:
-        raise InvalidInputError(f"cannot read dataset file {path}: {exc}") from exc
+    with reading("dataset file", path):
+        arrays, meta = load_arrays(path)
+        cfg = SyntheticTaskConfig(**meta)
+        splits = []
+        for split in _SPLITS:
+            samples = []
+            for i in range(int(arrays[f"{split}.count"])):
+                labels = tuple(int(v) for v in arrays[f"{split}.{i}.labels"])
+                samples.append(
+                    Sample(arrays[f"{split}.{i}.features"], LabelSequence(labels))
+                )
+            splits.append(tuple(samples))
+        prototypes = arrays["prototypes"]
     return Dataset(cfg, Vocabulary.generic(cfg.vocab_size), prototypes, *splits)

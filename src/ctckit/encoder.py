@@ -13,18 +13,13 @@ dropout mask, then the layer-drop coin), so a seeded run is bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, writing
+from .errors import InvalidInputError, load_arrays, reading, save_arrays, writing
 from .lattice import LogitLattice
-
-CHECKPOINT_MAGIC = b"CTCKPT"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -292,68 +287,13 @@ def adam_step(
     return ParameterSet(new_p), AdamState(t, new_m, new_v)
 
 
-# checkpoint layout, little-endian throughout:
-#   magic "CTCKPT" | u16 version | u32 meta_len | meta (UTF-8 JSON)
-#   | u32 tensor count | per tensor: u16 name_len, name, u8 ndim,
-#     u32 dims..., raw float64 data (C order)
 def save_checkpoint(path, params: ParameterSet, meta: dict | None = None) -> None:
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<H", CHECKPOINT_VERSION)
-    meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<I", len(meta_bytes))
-    blob += meta_bytes
-    names = params.names()
-    blob += struct.pack("<I", len(names))
-    for name in names:
-        enc = name.encode("utf-8")
-        arr = params[name]
-        blob += struct.pack("<H", len(enc))
-        blob += enc
-        blob += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            blob += struct.pack("<I", dim)
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    with writing("checkpoint", path), open(path, "wb") as fh:
-        fh.write(blob)
+    """Save the tensors and ``meta`` in the npz container datasets use."""
+    with writing("checkpoint", path):
+        save_arrays(path, params.tensors, meta or {})
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, dict]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read checkpoint {path}: {exc}") from exc
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise InvalidInputError("checkpoint file is truncated")
-        out = blob[off : off + n]
-        off += n
-        return out
-
-    off = 0
-    if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise InvalidInputError("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<H", take(2))
-    if version != CHECKPOINT_VERSION:
-        raise InvalidInputError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack("<I", take(4))
-    try:
-        meta = json.loads(take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"corrupt checkpoint metadata: {exc}") from exc
-    (count,) = struct.unpack("<I", take(4))
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        n = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * n), dtype="<f8").astype(np.float64)
-        tensors[name] = data.reshape(shape)
-    if off != len(blob):
-        raise InvalidInputError("trailing bytes after checkpoint payload")
-    return ParameterSet(tensors), meta
+    with reading("checkpoint", path):
+        tensors, meta = load_arrays(path)
+        return ParameterSet(tensors), meta

@@ -6,9 +6,9 @@ parameter init, one for per-epoch shuffling, augmentation, and dropout,
 consumed in a fixed order so repeated runs are bit-identical.
 
 The fair-cost rule: consistency training does two forward/backward passes
-per sample, so `cr_ctc` runs with half the epochs and half the batch size
-whenever train.fair_cost is on, holding total compute roughly equal to the
-plain-CTC baseline.
+per sample, so `cr_ctc` always runs with half the epochs and half the batch
+size, holding total compute roughly equal to the plain-CTC baseline. A run
+record that holds the retired `train.fair_cost = true` still reruns.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .encoder import (
     forward,
     init_params,
 )
-from .errors import InvalidInputError, writing
+from .errors import InvalidInputError, reading, writing
 from .lattice import LabelSequence, LogitLattice, Vocabulary, softmax_rows
 from .metrics import corpus_token_error_rate
 from .peakedness import PeakStats, peak_stats
@@ -130,18 +130,16 @@ class RunRecord:
 
     @classmethod
     def load(cls, path) -> "RunRecord":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_json(fh.read())
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read run record {path}: {exc}") from exc
+        with reading("run record", path), open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return cls.from_json(text)
 
 
 def effective_schedule(flat: dict[str, object], objective: str) -> tuple[int, int]:
     """(epochs, batch_size) after the fair-cost rule."""
     epochs = int(flat["train.epochs"])
     batch = int(flat["train.batch_size"])
-    if objective == "cr_ctc" and bool(flat["train.fair_cost"]):
+    if objective == "cr_ctc":
         epochs = max(1, epochs // 2)
         batch = max(1, batch // 2)
     return epochs, batch

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, writing
+from .errors import CapacityError, InvalidInputError, reading, writing
 from .logspace import LOG_ZERO, log_of
 
 ROW_SUM_TOL = 1e-9
@@ -341,8 +341,6 @@ def save_lattice_text(lattice: DistributionLattice, path) -> None:
 
 
 def load_lattice_text(path, *, normalize: bool = True) -> DistributionLattice:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_lattice_text(fh.read(), normalize=normalize)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read lattice file {path}: {exc}") from exc
+    with reading("lattice file", path), open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_lattice_text(text, normalize=normalize)

@@ -14,7 +14,6 @@ class TestParsing:
         assert flat["data.vocab_size"] == 8
         assert flat["cr.alpha"] == 0.2
         assert flat["train.objective"] == "ctc"
-        assert flat["train.fair_cost"] is True
 
     def test_text_parsing(self):
         text = """
@@ -22,14 +21,12 @@ class TestParsing:
         data.vocab_size = 5
         cr.alpha = 0.3   # trailing comment
         train.objective = sr_ctc
-        train.fair_cost = false
         """
         got = cfgmod.parse_config_text(text)
         assert got == {
             "data.vocab_size": 5,
             "cr.alpha": 0.3,
             "train.objective": "sr_ctc",
-            "train.fair_cost": False,
         }
 
     def test_unknown_key(self):
@@ -39,10 +36,6 @@ class TestParsing:
     def test_bad_int(self):
         with pytest.raises(InvalidInputError):
             cfgmod.parse_config_text("data.vocab_size = many")
-
-    def test_bad_bool(self):
-        with pytest.raises(InvalidInputError):
-            cfgmod.parse_config_text("train.fair_cost = sometimes")
 
     def test_missing_equals(self):
         with pytest.raises(InvalidInputError):
@@ -139,7 +132,6 @@ class TestBuilders:
             "train.batch_size",
             "train.lr",
             "train.seed",
-            "train.fair_cost",
             "eval.beam",
         }
 

@@ -1,5 +1,8 @@
 """Synthetic dataset generation and persistence."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -105,18 +108,39 @@ class TestGeneration:
             ds.split("validation")
 
 
+def assert_same_dataset(a, b):
+    assert a.config == b.config
+    assert np.array_equal(a.prototypes, b.prototypes)
+    for split in ("train", "dev", "test"):
+        assert len(a.split(split)) == len(b.split(split))
+        for sa, sb in zip(a.split(split), b.split(split)):
+            assert np.array_equal(sa.features, sb.features)
+            assert sa.labels == sb.labels
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         ds = generate_dataset(tiny_cfg())
         path = tmp_path / "data.npz"
         save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert loaded.config == ds.config
-        assert np.array_equal(loaded.prototypes, ds.prototypes)
-        assert len(loaded.train) == len(ds.train)
-        for sa, sb in zip(ds.train, loaded.train):
-            assert np.array_equal(sa.features, sb.features)
-            assert sa.labels == sb.labels
+        assert_same_dataset(load_dataset(path), ds)
+
+    def test_key_layout(self, tmp_path):
+        # the file format: one npz member per array, with the config as
+        # UTF-8 JSON bytes under config_json; files written by hand in this
+        # layout must keep loading
+        ds = generate_dataset(tiny_cfg())
+        blob = json.dumps(asdict(ds.config), sort_keys=True).encode("utf-8")
+        arrays = {"prototypes": ds.prototypes,
+                  "config_json": np.frombuffer(blob, dtype=np.uint8)}
+        for split in ("train", "dev", "test"):
+            samples = ds.split(split)
+            arrays[f"{split}.count"] = np.array(len(samples))
+            for i, s in enumerate(samples):
+                arrays[f"{split}.{i}.features"] = s.features
+                arrays[f"{split}.{i}.labels"] = np.array(s.labels.labels)
+        np.savez_compressed(tmp_path / "data.npz", **arrays)
+        assert_same_dataset(load_dataset(tmp_path / "data.npz"), ds)
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "junk.npz"

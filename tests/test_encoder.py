@@ -257,10 +257,10 @@ class TestCheckpoint:
         assert loaded["s"].shape == ()
         assert loaded["s"] == 2.5
 
-    def test_bad_magic(self, tmp_path):
+    def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTAKPT" + b"\x00" * 20)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="cannot read checkpoint"):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
@@ -272,10 +272,13 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
 
-    def test_trailing_garbage(self, tmp_path):
+    def test_flipped_byte_rejected(self, tmp_path):
+        # the middle of the file is tensor data, which a CRC-32 covers
         cfg = small_cfg()
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, make_params(cfg))
-        path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(InvalidInputError):
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InvalidInputError, match="cannot read checkpoint"):
             load_checkpoint(path)

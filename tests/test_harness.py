@@ -6,6 +6,7 @@ samples, few epochs) so the whole file stays fast.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,13 +60,6 @@ class TestSchedule:
         assert effective_schedule(flat, "ctc") == (20, 16)
         assert effective_schedule(flat, "sr_ctc") == (20, 16)
         assert effective_schedule(flat, "cr_ctc") == (10, 8)
-
-    def test_fair_cost_off(self, tiny_flat):
-        flat = dict(
-            tiny_flat,
-            **{"train.epochs": 20, "train.batch_size": 16, "train.fair_cost": False},
-        )
-        assert effective_schedule(flat, "cr_ctc") == (20, 16)
 
     def test_floors_at_one(self, tiny_flat):
         flat = dict(tiny_flat, **{"train.epochs": 1, "train.batch_size": 1})
@@ -187,6 +181,7 @@ class TestRunRecord:
             "train.optimizer": "adam",
             "cr.normalize_by_frames": False,
             "aug.mask_value": 0.0,
+            "train.fair_cost": True,
         })
         path = tmp_path / "old.json"
         record.save(path)
@@ -196,9 +191,10 @@ class TestRunRecord:
         assert again.loss_curve == record.loss_curve
         assert again.test_prefix_ter == record.test_prefix_ter
 
-        old.config["train.optimizer"] = "sgd"
-        with pytest.raises(InvalidInputError, match="train.optimizer"):
-            rerun_from_record(old)
+        for key, value in [("train.optimizer", "sgd"), ("train.fair_cost", False)]:
+            changed = replace(old, config={**old.config, key: value})
+            with pytest.raises(InvalidInputError, match=key):
+                rerun_from_record(changed)
 
     def test_all_skipped_epoch_saves_strict_json(self, tmp_path, tiny_flat, tiny_ds):
         # labels of 3+ tokens cannot fit in the 1-2 frames left after
