@@ -16,7 +16,6 @@ from .lattice import (
     LogitLattice,
     Vocabulary,
     collapse,
-    inverse_collapse_count,
     load_lattice_text,
     save_lattice_text,
     softmax_rows,
@@ -25,6 +24,7 @@ from .ctc import (
     CtcLossResult,
     ObjectiveResult,
     ctc_loss,
+    ctc_loss_from_logits,
     ctc_loss_oracle,
     is_feasible,
     occupancy_marginals,
@@ -74,7 +74,6 @@ from .encoder import (
 from .metrics import (
     corpus_token_error_rate,
     levenshtein,
-    token_error_rate,
 )
 from .dataset import (
     Dataset,
@@ -87,7 +86,6 @@ from .dataset import (
 from .harness import (
     EvalReport,
     RunRecord,
-    ctc_loss_from_logits,
     evaluate_model,
     rerun_from_record,
     run_experiment,
@@ -136,7 +134,6 @@ __all__ = [
     "generate_dataset",
     "greedy_decode",
     "init_params",
-    "inverse_collapse_count",
     "is_feasible",
     "levenshtein",
     "load_checkpoint",
@@ -160,7 +157,6 @@ __all__ = [
     "sr_penalty",
     "sweep",
     "time_warp",
-    "token_error_rate",
     "train_model",
     "write_sweep_csv",
 ]

@@ -16,13 +16,13 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
+from .ctc import ctc_loss_from_logits
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .decode import greedy_decode, prefix_beam_decode
 from .encoder import check_param_shapes, forward, init_params, load_checkpoint
 from .errors import CapacityError, CtcKitError, InvalidInputError, writing
 from .harness import (
     OUT_DIR_ENV,
-    ctc_loss_from_logits,
     default_out_dir,
     run_experiment,
     sweep,

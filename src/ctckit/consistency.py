@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import ObjectiveResult, ctc_loss, occupancy_marginals
+# ctc_loss and occupancy_marginals are not called here; perfbench/tracing.py
+# probes them where this module imports them.
+from .ctc import ObjectiveResult, ctc_loss, ctc_objective_group, occupancy_marginals
 from .errors import InvalidInputError
 from .lattice import (
     DistributionLattice,
@@ -137,6 +139,40 @@ def cr_loss(
     return loss, grad_a, grad_b
 
 
+def paired_objective_group(
+    logits_a: list[LogitLattice],
+    logits_b: list[LogitLattice],
+    ys: list[LabelSequence],
+    vocab: Vocabulary,
+    masks_a: list[np.ndarray | None],
+    masks_b: list[np.ndarray | None],
+    cfg: CrConfig,
+) -> list[ObjectiveResult]:
+    """Paired objective of each sample, evaluated directly on its branch
+    logits; its parts are ``ctc_a``, ``ctc_b`` and ``cr``. The CTC terms of
+    every branch run as one group."""
+    for la, lb in zip(logits_a, logits_b, strict=True):
+        if la.values.shape != lb.values.shape:
+            raise InvalidInputError("branch logits must share one shape")
+    za = [softmax_rows(la) for la in logits_a]
+    zb = [softmax_rows(lb) for lb in logits_b]
+    ctc = ctc_objective_group(
+        [z for pair in zip(za, zb) for z in pair], [y for y in ys for _ in "ab"], vocab
+    )
+    results = []
+    for i, (res_a, res_b) in enumerate(zip(ctc[0::2], ctc[1::2])):
+        if not (res_a.feasible and res_b.feasible):
+            results.append(ObjectiveResult(False, math.inf, None, {}))
+            continue
+        cr, cr_grad_a, cr_grad_b = cr_loss(za[i], zb[i], masks_a[i], masks_b[i], cfg)
+        loss = 0.5 * (res_a.loss + res_b.loss) + cfg.alpha * cr
+        grad_a = 0.5 * res_a.grads[0] + cfg.alpha * cr_grad_a
+        grad_b = 0.5 * res_b.grads[0] + cfg.alpha * cr_grad_b
+        parts = {"ctc_a": res_a.loss, "ctc_b": res_b.loss, "cr": cr}
+        results.append(ObjectiveResult(True, loss, (grad_a, grad_b), parts))
+    return results
+
+
 def paired_loss_from_logits(
     logits_a: LogitLattice,
     logits_b: LogitLattice,
@@ -146,21 +182,8 @@ def paired_loss_from_logits(
     masks_b: np.ndarray | None,
     cfg: CrConfig,
 ) -> ObjectiveResult:
-    """Paired objective evaluated directly on branch logits; its parts are
-    ``ctc_a``, ``ctc_b`` and ``cr``."""
-    if logits_a.values.shape != logits_b.values.shape:
-        raise InvalidInputError("branch logits must share one shape")
-    za = softmax_rows(logits_a)
-    zb = softmax_rows(logits_b)
-    res_a = ctc_loss(za, y, vocab)
-    res_b = ctc_loss(zb, y, vocab)
-    if not (res_a.feasible and res_b.feasible):
-        return ObjectiveResult(False, math.inf, None, {})
-    cr, cr_grad_a, cr_grad_b = cr_loss(za, zb, masks_a, masks_b, cfg)
-    ctc_grad_a = za.probs - occupancy_marginals(za, res_a)
-    ctc_grad_b = zb.probs - occupancy_marginals(zb, res_b)
-    loss = 0.5 * (res_a.loss + res_b.loss) + cfg.alpha * cr
-    grad_a = 0.5 * ctc_grad_a + cfg.alpha * cr_grad_a
-    grad_b = 0.5 * ctc_grad_b + cfg.alpha * cr_grad_b
-    parts = {"ctc_a": res_a.loss, "ctc_b": res_b.loss, "cr": cr}
-    return ObjectiveResult(True, loss, (grad_a, grad_b), parts)
+    """Paired objective of one sample (:func:`paired_objective_group` of
+    one)."""
+    return paired_objective_group(
+        [logits_a], [logits_b], [y], vocab, [masks_a], [masks_b], cfg
+    )[0]

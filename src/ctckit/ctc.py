@@ -28,8 +28,10 @@ from .lattice import (
     BLANK,
     DistributionLattice,
     LabelSequence,
+    LogitLattice,
     Vocabulary,
     collapse,
+    softmax_rows,
 )
 from .logspace import LOG_ZERO, log_add_scalar
 
@@ -79,21 +81,88 @@ def _skip_allowed(ext: np.ndarray) -> np.ndarray:
     return allow
 
 
-def _shift(v: np.ndarray, by: int) -> np.ndarray:
-    """v moved ``by`` states later (earlier when negative), LOG_ZERO-filled."""
-    out = np.full_like(v, LOG_ZERO)
-    if by > 0:
-        out[by:] = v[:-by]
-    else:
-        out[:by] = v[-by:]
-    return out
+@dataclass(frozen=True)
+class _Tables:
+    """alpha and beta of the feasible lattices of a group, time-major
+    (T_max, n, S_max + 4), longest lattice first; ``index`` maps each
+    column back to the caller's list.
+
+    A lattice's states sit at columns 2 .. 2 + S, between two LOG_ZERO
+    guard columns on each side, which the stay/move/skip transitions read
+    as the states before the first and after the last. States past a
+    shorter lattice's end emit log 1, which keeps their beta at exactly
+    LOG_ZERO, so every lattice reads what it would read alone.
+    """
+
+    index: list[int]
+    lengths: list[int]
+    ext: np.ndarray  # (n, S_max) lattice columns, blank-padded
+    alpha: np.ndarray
+    beta: np.ndarray
+    losses: list[float]
 
 
-def _step(v: np.ndarray, allow: np.ndarray, by: int) -> np.ndarray:
-    """One frame of the recursion in direction ``by`` (+1 forward, -1
-    backward): stay, move one state, or skip a blank where ``allow``."""
-    skip = np.where(allow, _shift(v, 2 * by), LOG_ZERO)
-    return np.logaddexp(np.logaddexp(v, _shift(v, by)), skip)
+def _tables(
+    dists: list[DistributionLattice], ys: list[LabelSequence], vocab: Vocabulary
+) -> _Tables:
+    for dist, y in zip(dists, ys, strict=True):
+        y.validate_against(vocab)
+        if dist.extended_size != vocab.extended_size:
+            raise InvalidInputError("lattice width does not match vocabulary")
+    feasible = [i for i, (d, y) in enumerate(zip(dists, ys)) if is_feasible(d.num_frames, y)]
+    index = sorted(feasible, key=lambda i: -dists[i].num_frames)
+    lengths = [dists[i].num_frames for i in index]
+    exts = []
+    for i in index:
+        ext = np.full(2 * len(ys[i]) + 1, BLANK, dtype=np.int64)
+        ext[1::2] = [vocab.lattice_index(label) for label in ys[i]]
+        exts.append(ext)
+    n = len(index)
+    T_max = lengths[0] if n else 0
+    S_max = max((len(e) for e in exts), default=1)
+    ext = np.full((n, S_max), BLANK, dtype=np.int64)
+    allow = np.zeros((n, S_max), dtype=bool)
+    emit = np.zeros((T_max, n, S_max + 4))
+    for c, (i, e) in enumerate(zip(index, exts)):
+        ext[c, : len(e)] = e
+        allow[c, : len(e)] = _skip_allowed(e)
+        emit[: lengths[c], c, 2 : 2 + len(e)] = dists[i].log_probs[:, e]
+    # allow_from[s]: the s -> s+2 skip is legal; same mask shifted by two.
+    allow_from = np.zeros_like(allow)
+    allow_from[:, : S_max - 2] = allow[:, 2:]
+    # lattices are sorted longest first, so those still running at frame t
+    # are the first active[t]
+    active = [sum(1 for T in lengths if T > t) for t in range(T_max + 1)]
+
+    # forward: stay, move one state, or skip a blank where allowed
+    alpha = np.full((T_max, n, S_max + 4), LOG_ZERO)
+    alpha[:1, :, 2:4] = emit[:1, :, 2:4]
+    for t in range(1, T_max):
+        m = active[t]
+        a = alpha[t - 1, :m]
+        skip = np.where(allow[:m], a[:, :-4], LOG_ZERO)
+        stay_or_move = np.logaddexp(a[:, 2:-2], a[:, 1:-3])
+        np.add(np.logaddexp(stay_or_move, skip), emit[t, :m, 2:-2], out=alpha[t, :m, 2:-2])
+
+    losses = []
+    for c, e in enumerate(exts):
+        last = alpha[lengths[c] - 1, c, 2:]
+        ll_alpha = last[len(e) - 1]
+        if len(e) > 1:
+            ll_alpha = log_add_scalar(ll_alpha, last[len(e) - 2])
+        losses.append(float(-ll_alpha))
+
+    # backward: the same moves in reverse, from each lattice's last frame
+    beta = np.full((T_max, n, S_max + 4), LOG_ZERO)
+    for c, e in enumerate(exts):
+        beta[lengths[c] - 1, c, max(len(e), 2) : 2 + len(e)] = 0.0
+    for t in range(T_max - 2, -1, -1):
+        m = active[t + 1]
+        v = beta[t + 1, :m] + emit[t + 1, :m]
+        skip = np.where(allow_from[:m], v[:, 4:], LOG_ZERO)
+        stay_or_move = np.logaddexp(v[:, 2:-2], v[:, 3:-1])
+        np.logaddexp(stay_or_move, skip, out=beta[t, :m, 2:-2])
+    return _Tables(index, lengths, ext, alpha[:, :, 2:-2], beta[:, :, 2:-2], losses)
 
 
 def ctc_loss(
@@ -104,42 +173,32 @@ def ctc_loss(
     Returns a tagged result: structurally infeasible targets (too few frames
     for the labels plus forced blanks) yield ``feasible=False`` instead of a
     crash or an infinite loss, so callers can skip and count such samples.
+    This is the group recursion of :func:`ctc_objective_group` run over one
+    lattice.
     """
-    y.validate_against(vocab)
-    if dist.extended_size != vocab.extended_size:
-        raise InvalidInputError("lattice width does not match vocabulary")
-    T = dist.num_frames
-    if not is_feasible(T, y):
+    tables = _tables([dist], [y], vocab)
+    if not tables.index:
         return CtcLossResult(False, math.inf, None, None, None)
+    return CtcLossResult(
+        True, tables.losses[0], tables.alpha[:, 0], tables.beta[:, 0], tables.ext[0]
+    )
 
-    ext = np.full(2 * len(y) + 1, BLANK, dtype=np.int64)
-    ext[1::2] = [vocab.lattice_index(label) for label in y]
-    S = len(ext)
-    emit = dist.log_probs[:, ext]  # T x S
-    allow = _skip_allowed(ext)
 
-    alpha = np.full((T, S), LOG_ZERO)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
-    for t in range(1, T):
-        alpha[t] = _step(alpha[t - 1], allow, 1) + emit[t]
-
-    ll_alpha = alpha[T - 1, S - 1]
-    if S > 1:
-        ll_alpha = log_add_scalar(ll_alpha, alpha[T - 1, S - 2])
-
-    beta = np.full((T, S), LOG_ZERO)
-    beta[T - 1, S - 1] = 0.0
-    if S > 1:
-        beta[T - 1, S - 2] = 0.0
-    # allow_from[s]: the s -> s+2 skip is legal; same mask shifted by two.
-    allow_from = np.zeros(S, dtype=bool)
-    allow_from[: S - 2] = allow[2:]
-    for t in range(T - 2, -1, -1):
-        beta[t] = _step(beta[t + 1] + emit[t + 1], allow_from, -1)
-
-    return CtcLossResult(True, float(-ll_alpha), alpha, beta, ext)
+def _occupancy(
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    ext: np.ndarray,
+    losses: list[float],
+    num_columns: int,
+) -> np.ndarray:
+    """Occupancy posteriors (T, n, num_columns) from time-major tables,
+    one state at a time so no third table is held."""
+    losses = np.asarray(losses)
+    out = np.zeros(alpha.shape[:2] + (num_columns,))
+    cols = np.arange(alpha.shape[1])
+    for s in range(alpha.shape[2]):
+        out[:, cols, ext[:, s]] += np.exp(alpha[:, :, s] + beta[:, :, s] + losses)
+    return out
 
 
 def occupancy_marginals(
@@ -147,11 +206,38 @@ def occupancy_marginals(
 ) -> np.ndarray:
     """Posterior probability that frame t is aligned to lattice column k,
     a T x |V'| matrix with rows summing to 1. ``res`` must be feasible."""
-    gamma_states = np.exp(res.alpha + res.beta + res.loss)
-    out = np.zeros((dist.num_frames, dist.extended_size))
-    for s, k in enumerate(res.extended):
-        out[:, k] += gamma_states[:, s]
-    return out
+    return _occupancy(
+        res.alpha[:, None], res.beta[:, None], res.extended[None],
+        [res.loss], dist.extended_size,
+    )[:, 0]
+
+
+def ctc_objective_group(
+    dists: list[DistributionLattice], ys: list[LabelSequence], vocab: Vocabulary
+) -> list[ObjectiveResult]:
+    """Plain CTC objective of each lattice; its one part is ``ctc``.
+
+    The gradient with respect to the logits behind each lattice is its
+    probabilities minus the occupancy posterior, so every row sums to zero.
+    """
+    tables = _tables(dists, ys, vocab)
+    occupancy = _occupancy(
+        tables.alpha, tables.beta, tables.ext, tables.losses, vocab.extended_size
+    )
+    results = [ObjectiveResult(False, math.inf, None, {})] * len(dists)
+    for c, i in enumerate(tables.index):
+        grad = dists[i].probs - occupancy[: tables.lengths[c], c]
+        loss = tables.losses[c]
+        results[i] = ObjectiveResult(True, loss, (grad,), {"ctc": loss})
+    return results
+
+
+def ctc_loss_from_logits(
+    logits: LogitLattice, y: LabelSequence, vocab: Vocabulary
+) -> ObjectiveResult:
+    """Plain CTC objective on raw logits (:func:`ctc_objective_group` of
+    one lattice)."""
+    return ctc_objective_group([softmax_rows(logits)], [y], vocab)[0]
 
 
 def ctc_loss_oracle(

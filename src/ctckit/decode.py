@@ -9,7 +9,6 @@ results are deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,75 +38,56 @@ def greedy_decode(
     return collapse(alignment, vocab), alignment
 
 
-@dataclass
-class _PrefixMass:
-    # log mass of paths ending in blank / ending in the prefix's last token
-    blank: float = LOG_ZERO
-    nonblank: float = LOG_ZERO
-
-    def total(self) -> float:
-        return log_add_scalar(self.blank, self.nonblank)
-
-
 def prefix_beam_decode(
     dist: DistributionLattice, vocab: Vocabulary, beam: int = 4
 ) -> LabelSequence:
     """CTC prefix beam search.
 
-    Each surviving prefix carries two log masses, for paths ending in blank
-    and paths ending in the prefix's final token; the split is what lets a
-    repeated token either extend the last emission or start a new one. After
-    every frame the hypothesis set is pruned to ``beam`` prefixes by total
-    mass, ties broken lexicographically. With a beam at least as large as
-    the number of reachable prefixes the search is exact.
+    Each surviving prefix carries two log masses, (blank, nonblank), for
+    paths ending in blank and paths ending in the prefix's final token; the
+    split is what lets a repeated token either extend the last emission or
+    start a new one. After every frame the hypothesis set is pruned to
+    ``beam`` prefixes by total mass, ties broken lexicographically. With a
+    beam at least as large as the number of reachable prefixes the search
+    is exact.
     """
     _check(dist, vocab)
     if beam < 1:
         raise InvalidInputError("beam width must be >= 1")
-    logp = dist.log_probs
-    beams: dict[tuple[int, ...], _PrefixMass] = {(): _PrefixMass(blank=0.0)}
-    for t in range(dist.num_frames):
-        nxt: dict[tuple[int, ...], _PrefixMass] = {}
-
-        def bucket(prefix: tuple[int, ...]) -> _PrefixMass:
-            entry = nxt.get(prefix)
-            if entry is None:
-                entry = _PrefixMass()
-                nxt[prefix] = entry
-            return entry
-
-        for prefix, mass in beams.items():
-            total = mass.total()
-            lp_blank = logp[t, 0]
+    empty = (LOG_ZERO, LOG_ZERO)
+    beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, LOG_ZERO)}
+    for row in dist.log_probs.tolist():
+        lp_blank = row[0]
+        nxt: dict[tuple[int, ...], tuple[float, float]] = {}
+        for prefix, (blank, nonblank) in beams.items():
+            total = log_add_scalar(blank, nonblank)
             if lp_blank > LOG_ZERO_THRESHOLD and total > LOG_ZERO_THRESHOLD:
-                entry = bucket(prefix)
-                entry.blank = log_add_scalar(entry.blank, total + lp_blank)
-            for label in range(vocab.size):
-                lp = logp[t, label + 1]
+                b, nb = nxt.get(prefix, empty)
+                nxt[prefix] = (log_add_scalar(b, total + lp_blank), nb)
+            last = prefix[-1] if prefix else -1
+            for label, lp in enumerate(row[1:]):
                 if lp <= LOG_ZERO_THRESHOLD:
                     continue
-                if prefix and prefix[-1] == label:
+                if label == last:
                     # same token again: without a blank it merges into the
                     # existing emission; after a blank it starts a new one
-                    if mass.nonblank > LOG_ZERO_THRESHOLD:
-                        entry = bucket(prefix)
-                        entry.nonblank = log_add_scalar(
-                            entry.nonblank, mass.nonblank + lp
-                        )
-                    if mass.blank > LOG_ZERO_THRESHOLD:
-                        entry = bucket(prefix + (label,))
-                        entry.nonblank = log_add_scalar(
-                            entry.nonblank, mass.blank + lp
-                        )
+                    if nonblank > LOG_ZERO_THRESHOLD:
+                        b, nb = nxt.get(prefix, empty)
+                        nxt[prefix] = (b, log_add_scalar(nb, nonblank + lp))
+                    if blank > LOG_ZERO_THRESHOLD:
+                        longer = prefix + (label,)
+                        b, nb = nxt.get(longer, empty)
+                        nxt[longer] = (b, log_add_scalar(nb, blank + lp))
                 elif total > LOG_ZERO_THRESHOLD:
-                    entry = bucket(prefix + (label,))
-                    entry.nonblank = log_add_scalar(entry.nonblank, total + lp)
+                    longer = prefix + (label,)
+                    b, nb = nxt.get(longer, empty)
+                    nxt[longer] = (b, log_add_scalar(nb, total + lp))
         if not nxt:
             # every extension had zero probability; keep the old set alive
             nxt = beams
-        ranked = sorted(nxt.items(), key=lambda kv: (-kv[1].total(), kv[0]))
+        ranked = sorted(nxt.items(), key=lambda kv: (-log_add_scalar(*kv[1]), kv[0]))
         beams = dict(ranked[:beam])
-    best = min(beams.items(), key=lambda kv: (-kv[1].total(), kv[0]))
+    best = min(beams.items(), key=lambda kv: (-log_add_scalar(*kv[1]), kv[0]))
     return LabelSequence(best[0])
 
 

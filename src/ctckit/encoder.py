@@ -127,23 +127,62 @@ def init_params(
     return ParameterSet(t)
 
 
+def output_frames(num_frames: int, cfg: EncoderConfig) -> int:
+    """Encoder frames for an input of ``num_frames`` (ceil-mode pooling)."""
+    return -(-num_frames // cfg.downsample_factor)
+
+
+def dropout_draws(
+    num_frames: int, cfg: EncoderConfig, rng: np.random.Generator
+) -> list[tuple[np.ndarray, bool]]:
+    """The random draws of one training pass over ``num_frames`` encoder
+    frames: per layer, the dropout keep mask (frames x hidden) and then the
+    layer-drop coin (True: the layer is kept). A dropped layer still draws
+    its mask, so the order never changes."""
+    p, q = cfg.dropout_prob, cfg.layer_drop_prob
+    draws = []
+    for _ in range(cfg.layers):
+        keep = rng.random((num_frames, cfg.hidden_dim)) >= p
+        draws.append((keep, bool(rng.random() >= q)))
+    return draws
+
+
 @dataclass
 class LayerTape:
-    h_pad: np.ndarray | None  # zero-padded input; None when the layer was dropped
-    act: np.ndarray | None  # tanh output; None when the layer was dropped
-    drop: np.ndarray | None  # multiplicative dropout factor incl. 1/(1-p)
-    kept: bool
-    scale: float  # 1/(1-q) in train when kept, 1.0 in eval
+    h_pad: np.ndarray  # layer input, zero-padded by context_radius frames
+    act: np.ndarray  # tanh output
+    keep: np.ndarray  # dropout keep mask; False on gaps and where the layer was dropped
+    dropout_prob: float  # 0.0 in eval
+    kept: tuple[bool, ...]  # per sequence: the layer ran (layer drop)
+    scale: float  # 1/(1-q) in train, 1.0 in eval
+
+    @property
+    def drop(self) -> np.ndarray:
+        """Multiplicative dropout factor per frame, incl. 1/(1-p)."""
+        return self.keep / (1.0 - self.dropout_prob)
 
 
 @dataclass
 class Tape:
-    """Forward intermediates needed for the exact backward pass."""
+    """Forward intermediates of one group of sequences, needed for the
+    exact backward pass.
 
+    The sequences sit one after another along the frame axis, sequence i
+    at rows ``starts[i]`` to ``starts[i] + lengths[i]``, with
+    ``context_radius`` zero rows between neighbours. Those gap rows are the
+    zero padding each sequence's convolutions see at its ends, so a group
+    computes what each of its sequences would alone.
+    """
+
+    starts: tuple[int, ...]
+    lengths: tuple[int, ...]
     x_ds: np.ndarray
     proj_act: np.ndarray
     layers: list[LayerTape] = field(default_factory=list)
     h_final: np.ndarray | None = None
+
+    def rows(self, i: int) -> slice:
+        return slice(self.starts[i], self.starts[i] + self.lengths[i])
 
 
 def _downsample(x: np.ndarray, factor: int) -> np.ndarray:
@@ -155,6 +194,87 @@ def _downsample(x: np.ndarray, factor: int) -> np.ndarray:
     return sums / counts[:, None]
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, lone: list[int]) -> np.ndarray:
+    """a @ b, with each row in ``lone`` multiplied on its own. Those rows
+    are one-frame sequences: numpy multiplies a one-row matrix with gemv,
+    whose sums run in another order than gemm's."""
+    out = a @ b
+    for row in lone:
+        out[row] = a[row : row + 1] @ b
+    return out
+
+
+def forward_group(
+    params: ParameterSet,
+    xs: list[np.ndarray],
+    cfg: EncoderConfig,
+    draws: list[list[tuple[np.ndarray, bool]]] | None = None,
+) -> tuple[list[LogitLattice], Tape]:
+    """Encoder forward over a group of sequences at once.
+
+    Eval mode when ``draws`` is None; otherwise ``draws[i]`` holds sequence
+    i's :func:`dropout_draws`. Each sequence's logits equal, bit for bit,
+    what :func:`forward` gives it alone with the same draws.
+    """
+    xs_ds = []
+    for x in xs:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise InvalidInputError("input features must be a 2-D array")
+        xs_ds.append(_downsample(x, cfg.downsample_factor))
+    num_classes = params["out.b"].size if "out.b" in params.tensors else 0
+    check_param_shapes(params, cfg, xs_ds[0].shape[1], num_classes)
+    if any(x.shape[1] != xs_ds[0].shape[1] for x in xs_ds):
+        raise InvalidInputError("every sequence of a group needs the same feature dim")
+    if any(x.shape[0] < 1 for x in xs_ds):
+        raise InvalidInputError("input must have at least one frame")
+
+    r = cfg.context_radius
+    lengths = tuple(x.shape[0] for x in xs_ds)
+    starts = tuple(int(v) for v in np.cumsum((0,) + tuple(T + r for T in lengths[:-1])))
+    N = starts[-1] + lengths[-1]
+    lone = [q for q, T in zip(starts, lengths) if T == 1]
+    gaps = np.ones(N, dtype=bool)
+    x_ds = np.zeros((N, xs_ds[0].shape[1]))
+    for q, x in zip(starts, xs_ds):
+        x_ds[q : q + x.shape[0]] = x
+        gaps[q : q + x.shape[0]] = False
+
+    h = np.tanh(_matmul(x_ds, params["in.w"], lone) + params["in.b"])
+    h[gaps] = 0.0
+    tape = Tape(starts, lengths, x_ds, h)
+
+    for l in range(cfg.layers):
+        if draws is None:
+            keep, p = ~gaps[:, None], 0.0
+            kept, scale = (True,) * len(xs), 1.0
+        else:
+            keep, p = np.zeros((N, cfg.hidden_dim), dtype=bool), cfg.dropout_prob
+            kept = tuple(d[l][1] for d in draws)
+            for q, T, d in zip(starts, lengths, draws):
+                if d[l][1]:
+                    keep[q : q + T] = d[l][0]
+            scale = 1.0 / (1.0 - cfg.layer_drop_prob)
+        w = params[f"layer{l}.w"]
+        hp = np.pad(h, ((r, r), (0, 0)))
+        if l == 0:
+            tape.proj_act = hp[r : r + N]  # keep one copy of the projection
+        u = np.full(h.shape, params[f"layer{l}.b"])
+        for j in range(2 * r + 1):
+            u += _matmul(hp[j : j + N], w[j], lone)
+        a = np.tanh(u)
+        layer = LayerTape(hp, a, keep, p, kept, scale)
+        tape.layers.append(layer)
+        branch = a * layer.drop
+        branch *= scale
+        h = h + branch
+
+    tape.h_final = h
+    logits = [LogitLattice(h[tape.rows(i)] @ params["out.w"] + params["out.b"])
+              for i in range(len(xs))]
+    return logits, tape
+
+
 def forward(
     params: ParameterSet,
     x: np.ndarray,
@@ -162,96 +282,103 @@ def forward(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[LogitLattice, Tape]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidInputError("input features must be a 2-D array")
-    num_classes = params["out.b"].size if "out.b" in params.tensors else 0
-    check_param_shapes(params, cfg, x.shape[1], num_classes)
+    """Encoder forward of one sequence (:func:`forward_group` of one); in
+    train mode it draws the pass's dropout from ``rng``."""
     if train and rng is None:
         raise InvalidInputError("train mode needs an explicit random generator")
+    draws = None
+    if train:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise InvalidInputError("input features must be a 2-D array")
+        draws = [dropout_draws(output_frames(x.shape[0], cfg), cfg, rng)]
+    logits, tape = forward_group(params, [x], cfg, draws)
+    return logits[0], tape
 
-    x_ds = _downsample(x, cfg.downsample_factor)
-    T = x_ds.shape[0]
-    if T < 1:
-        raise InvalidInputError("input must have at least one frame")
 
-    h = np.tanh(x_ds @ params["in.w"] + params["in.b"])
-    tape = Tape(x_ds=x_ds, proj_act=h)
+def _add_per_sample(total: np.ndarray, samples, part) -> None:
+    """total += each sample's gradient, sample by sample, where a sample's
+    gradient is the sum of part(i) over its sequences i in order."""
+    for seqs in samples:
+        s = None
+        for i in seqs:
+            g = part(i)
+            s = g if s is None else s + g
+        if s is not None:
+            total += s
 
-    r = cfg.context_radius
-    p, q = cfg.dropout_prob, cfg.layer_drop_prob
-    for l in range(cfg.layers):
-        # draw order is fixed even for dropped layers: mask first, coin second
-        if train:
-            drop = (rng.random((T, h.shape[1])) >= p) / (1.0 - p)
-            kept = bool(rng.random() >= q)
-            scale = 1.0 / (1.0 - q)
-        else:
-            drop, kept, scale = None, True, 1.0
-        if not kept:
-            tape.layers.append(LayerTape(None, None, None, False, 0.0))
+
+def backward_group(
+    params: ParameterSet,
+    tape: Tape,
+    dlogits: list[np.ndarray],
+    grads: dict[str, np.ndarray],
+    views: int = 1,
+) -> None:
+    """Add the parameter gradients of the group ``tape`` records to
+    ``grads``, one sample at a time in order.
+
+    A sample is ``views`` consecutive sequences; their gradients are summed
+    in sequence order before the sum is added, as separate backward passes
+    of the views would give. A layer a sequence dropped adds nothing for
+    it. The input itself gets no gradient; only parameters are trained.
+    """
+    n = len(tape.lengths)
+    if len(dlogits) != n or n % views:
+        raise InvalidInputError("upstream gradients do not match the tape")
+    samples = [range(k, k + views) for k in range(0, n, views)]
+    h_final = tape.h_final
+    dh = np.zeros_like(h_final)
+    dls = []
+    for i, dl in enumerate(dlogits):
+        dl = np.asarray(dl, dtype=np.float64)
+        if dl.shape[0] != tape.lengths[i]:
+            raise InvalidInputError("upstream gradient does not match the tape")
+        dh[tape.rows(i)] = dl @ params["out.w"].T
+        dls.append(dl)
+    _add_per_sample(grads["out.w"], samples, lambda i: h_final[tape.rows(i)].T @ dls[i])
+    _add_per_sample(grads["out.b"], samples, lambda i: dls[i].sum(axis=0))
+
+    N = h_final.shape[0]
+    for l in range(len(tape.layers) - 1, -1, -1):
+        lt = tape.layers[l]
+        if not any(lt.kept):
             continue
         w = params[f"layer{l}.w"]
-        hp = np.pad(h, ((r, r), (0, 0)))
-        u = np.full(h.shape, params[f"layer{l}.b"])
+        r = (w.shape[0] - 1) // 2
+        du = dh * lt.scale
+        du *= lt.drop
+        du *= 1.0 - lt.act * lt.act
+        # per sequence: against a transposed matrix, OpenBLAS sums short
+        # products in another order than long ones
+        dhp = np.zeros_like(lt.h_pad)
+        for i, (q, T) in enumerate(zip(tape.starts, tape.lengths)):
+            if lt.kept[i]:
+                for j in range(2 * r + 1):
+                    dhp[q + j : q + j + T] += du[q : q + T] @ w[j].T
+        ran = [[i for i in seqs if lt.kept[i]] for seqs in samples]
+        dw = grads[f"layer{l}.w"]
         for j in range(2 * r + 1):
-            u += hp[j : j + T] @ w[j]
-        a = np.tanh(u)
-        branch = a if drop is None else a * drop
-        tape.layers.append(LayerTape(hp, a, drop, True, scale))
-        h = h + branch * scale
+            _add_per_sample(dw[j], ran, lambda i: (
+                lt.h_pad[tape.starts[i] + j : tape.starts[i] + j + tape.lengths[i]].T
+                @ du[tape.rows(i)]))
+        _add_per_sample(grads[f"layer{l}.b"], ran, lambda i: du[tape.rows(i)].sum(axis=0))
+        dh = dh + dhp[r : r + N]
 
-    tape.h_final = h
-    logits = h @ params["out.w"] + params["out.b"]
-    return LogitLattice(logits), tape
+    da0 = dh * (1.0 - tape.proj_act * tape.proj_act)
+    _add_per_sample(grads["in.w"], samples, lambda i: tape.x_ds[tape.rows(i)].T @ da0[tape.rows(i)])
+    _add_per_sample(grads["in.b"], samples, lambda i: da0[tape.rows(i)].sum(axis=0))
 
 
 def backward(
     params: ParameterSet, tape: Tape, dlogits: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients for the exact sub-model the tape records.
-
-    Gradients of layers dropped on this pass are zero. The input itself
-    gets no gradient; only parameters are trained.
-    """
+    """Parameter gradients for the exact sub-model a one-sequence tape
+    records (:func:`backward_group` of one). Gradients of layers dropped on
+    this pass are zero."""
     grads = params.zeros_like()
-    dlogits = np.asarray(dlogits, dtype=np.float64)
-    h_final = tape.h_final
-    if h_final is None or dlogits.shape[0] != h_final.shape[0]:
-        raise InvalidInputError("upstream gradient does not match the tape")
-
-    grads["out.w"] = h_final.T @ dlogits
-    grads["out.b"] = dlogits.sum(axis=0)
-    dh = dlogits @ params["out.w"].T
-
-    T = h_final.shape[0]
-    for l in range(len(tape.layers) - 1, -1, -1):
-        lt = tape.layers[l]
-        if not lt.kept:
-            continue
-        r = (params[f"layer{l}.w"].shape[0] - 1) // 2
-        da = dh * lt.scale
-        if lt.drop is not None:
-            da = da * lt.drop
-        du = da * (1.0 - lt.act * lt.act)
-        grads[f"layer{l}.b"] = du.sum(axis=0)
-        w = params[f"layer{l}.w"]
-        dw = grads[f"layer{l}.w"]
-        dhp = np.zeros_like(lt.h_pad)
-        for j in range(2 * r + 1):
-            dw[j] = lt.h_pad[j : j + T].T @ du
-            dhp[j : j + T] += du @ w[j].T
-        dh = dh + dhp[r : r + T]
-
-    da0 = dh * (1.0 - tape.proj_act * tape.proj_act)
-    grads["in.w"] = tape.x_ds.T @ da0
-    grads["in.b"] = da0.sum(axis=0)
+    backward_group(params, tape, [dlogits], grads)
     return grads
-
-
-def accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
-    for name, g in part.items():
-        total[name] += g
 
 
 @dataclass

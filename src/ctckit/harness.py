@@ -14,33 +14,48 @@ record that holds the retired `train.fair_cost = true` still reruns.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+# forward, backward, ctc_loss, occupancy_marginals, paired_loss_from_logits
+# and sr_loss_from_logits are per-sample forms of what the training step
+# runs per group; perfbench/tracing.py probes them where this module
+# imports them.
 from . import config as cfgmod
 from .augment import augment, make_views, pool_mask_any
-from .consistency import paired_loss_from_logits
-from .ctc import ObjectiveResult, ctc_loss, occupancy_marginals
-from .dataset import Dataset, generate_dataset
+from .consistency import paired_loss_from_logits, paired_objective_group
+from .ctc import ctc_loss, ctc_objective_group, is_feasible, occupancy_marginals
+from .dataset import Dataset, Sample, generate_dataset
 from .decode import greedy_decode, prefix_beam_decode
 from .encoder import (
     AdamState,
+    EncoderConfig,
     ParameterSet,
-    accumulate,
     adam_step,
     backward,
+    backward_group,
+    dropout_draws,
     forward,
+    forward_group,
     init_params,
+    output_frames,
 )
 from .errors import InvalidInputError, reading, writing
-from .lattice import LabelSequence, LogitLattice, Vocabulary, softmax_rows
+from .lattice import softmax_rows
 from .metrics import corpus_token_error_rate
 from .peakedness import PeakStats, peak_stats
-from .smoothing import sr_loss_from_logits
+from .smoothing import sr_loss_from_logits, sr_objective_group
+
+# The training step and eval run samples in groups of consecutive samples
+# holding at most this many encoder frames (a longer sample runs alone).
+# It bounds the memory a group's tape and CTC tables hold at once, about
+# 8 KiB a frame: a 16-sample desk minibatch (about 430 frames) runs as four
+# groups, which keeps a step's peak memory within about 1 MiB of a
+# one-sample step's.
+GROUP_FRAMES = 128
 
 OUT_DIR_ENV = "CTCKIT_OUT_DIR"
 
@@ -90,6 +105,10 @@ class EvalReport:
     peak: PeakStats
 
 
+# the JSON value types a run record's fields may hold, by annotation
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict, "list": list}
+
+
 @dataclass
 class RunRecord:
     """Everything needed to report and reproduce one training run.
@@ -120,9 +139,20 @@ class RunRecord:
     def from_json(cls, text: str) -> "RunRecord":
         try:
             payload = json.loads(text)
-            return cls(**payload)
+            record = cls(**payload)
         except (json.JSONDecodeError, TypeError) as exc:
             raise InvalidInputError(f"bad run record: {exc}") from exc
+        for f in fields(cls):
+            kind = f.type.split("[")[0].split(" |")[0]
+            value = getattr(record, f.name)
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+                raise InvalidInputError(
+                    f"bad run record: {f.name} must be a JSON {kind}, "
+                    f"not {type(value).__name__}"
+                )
+        if not all(v is None or type(v) in (int, float) for v in record.loss_curve):
+            raise InvalidInputError("bad run record: loss_curve must hold numbers or null")
+        return record
 
     def save(self, path) -> None:
         with writing("run record", path), open(path, "w", encoding="utf-8") as fh:
@@ -182,18 +212,15 @@ def train_model(
             grads = params.zeros_like()
             used = 0
             try:
-                for sample in batch:
-                    item = _sample_grads(
-                        params, sample, objective, enc_cfg, aug_cfg, cr_cfg,
-                        sr_cfg, vocab, step_rng,
+                for group in _groups(batch, enc_cfg, views=2 if objective == "cr_ctc" else 1):
+                    losses = _group_grads(
+                        params, group, objective, enc_cfg, aug_cfg, cr_cfg,
+                        sr_cfg, vocab, step_rng, grads,
                     )
-                    if item is None:
-                        skipped += 1
-                        continue
-                    loss, sample_grads = item
-                    accumulate(grads, sample_grads)
-                    epoch_loss += loss
-                    used += 1
+                    skipped += len(group) - len(losses)
+                    for loss in losses:
+                        epoch_loss += loss
+                    used += len(losses)
                 if used == 0:
                     continue
                 for g in grads.values():
@@ -206,51 +233,66 @@ def train_model(
     return TrainOutcome(params, curve, skipped)
 
 
-def _sample_grads(
-    params, sample, objective, enc_cfg, aug_cfg, cr_cfg, sr_cfg, vocab, rng
-):
-    """Loss and parameter gradients for one sample; None when infeasible."""
-    y = sample.labels
-    if objective == "cr_ctc":
-        views = make_views(sample.features, aug_cfg, rng)
-    else:
-        views = (augment(sample.features, aug_cfg, rng),)
-    passes = [forward(params, v.features, enc_cfg, True, rng) for v in views]
-    logits, tapes = zip(*passes)
+def _groups(
+    samples: list[Sample], enc_cfg: EncoderConfig, views: int = 1
+) -> list[list[Sample]]:
+    """Consecutive runs of samples holding at most GROUP_FRAMES encoder
+    frames over all ``views`` passes of each sample."""
+    groups: list[list[Sample]] = []
+    frames = GROUP_FRAMES
+    for sample in samples:
+        need = views * output_frames(sample.features.shape[0], enc_cfg)
+        if frames + need > GROUP_FRAMES:
+            groups.append([])
+            frames = 0
+        groups[-1].append(sample)
+        frames += need
+    return groups
+
+
+def _group_grads(
+    params, group, objective, enc_cfg, aug_cfg, cr_cfg, sr_cfg, vocab, rng, grads
+) -> list[float]:
+    """Add the gradients of a group's feasible samples to ``grads`` in
+    sample order and return their losses.
+
+    Every random number is drawn first, sample by sample, in the order a
+    one-sample step draws them: the views, then per view and per layer the
+    dropout mask and the layer-drop coin, also for samples whose targets
+    turn out not to fit. Then one encoder pass, one objective pass and one
+    backward pass run over the feasible samples together.
+    """
+    views, draws, ys = [], [], []
+    for sample in group:
+        if objective == "cr_ctc":
+            sample_views = make_views(sample.features, aug_cfg, rng)
+        else:
+            sample_views = (augment(sample.features, aug_cfg, rng),)
+        frames = output_frames(sample_views[0].num_frames, enc_cfg)
+        sample_draws = [dropout_draws(frames, enc_cfg, rng) for _ in sample_views]
+        if is_feasible(frames, sample.labels):
+            views.append(sample_views)
+            draws.extend(sample_draws)
+            ys.append(sample.labels)
+    if not ys:
+        return []
+    passes = [v for sample_views in views for v in sample_views]
+    logits, tape = forward_group(params, [v.features for v in passes], enc_cfg, draws)
 
     if objective == "cr_ctc":
         factor = enc_cfg.downsample_factor
-        masks = [pool_mask_any(v.time_masked, factor) for v in views]
-        res = paired_loss_from_logits(*logits, y, vocab, *masks, cr_cfg)
+        masks = [pool_mask_any(v.time_masked, factor) for v in passes]
+        results = paired_objective_group(
+            logits[0::2], logits[1::2], ys, vocab, masks[0::2], masks[1::2], cr_cfg
+        )
     elif objective == "sr_ctc":
-        res = sr_loss_from_logits(logits[0], y, vocab, sr_cfg)
+        results = sr_objective_group(logits, ys, vocab, sr_cfg)
     else:
-        res = ctc_loss_from_logits(logits[0], y, vocab)
-    if not res.feasible:
-        return None
+        results = ctc_objective_group([softmax_rows(l) for l in logits], ys, vocab)
 
-    grads = [backward(params, tape, dl) for tape, dl in zip(tapes, res.grads)]
-    for view_grads in grads[1:]:
-        accumulate(grads[0], view_grads)
-    return res.loss, grads[0]
-
-
-def ctc_loss_from_logits(
-    logits: LogitLattice, y: LabelSequence, vocab: Vocabulary
-) -> ObjectiveResult:
-    """Plain CTC objective on raw logits; its one part is ``ctc``.
-
-    The gradient is softmax(logits) minus the occupancy posterior, so every
-    row sums to zero. It lives here rather than in ``ctc`` because
-    ``perfbench/tracing.py`` times softmax_rows, ctc_loss and
-    occupancy_marginals where this module imports them.
-    """
-    dist = softmax_rows(logits)
-    res = ctc_loss(dist, y, vocab)
-    if not res.feasible:
-        return ObjectiveResult(False, math.inf, None, {})
-    grad = dist.probs - occupancy_marginals(dist, res)
-    return ObjectiveResult(True, res.loss, (grad,), {"ctc": res.loss})
+    dlogits = [g for res in results for g in res.grads]
+    backward_group(params, tape, dlogits, grads, views=len(views[0]))
+    return [res.loss for res in results]
 
 
 def evaluate_model(
@@ -259,19 +301,23 @@ def evaluate_model(
     split: str,
     flat: dict[str, object],
 ) -> EvalReport:
-    """Eval-mode decode of one split with both decoders, plus peak stats."""
+    """Eval-mode decode of one split with both decoders, plus peak stats.
+
+    The encoder runs over groups of utterances; decoding and peak stats run
+    per utterance, in split order."""
     enc_cfg = cfgmod.encoder_config(flat)
     beam = int(flat["eval.beam"])
     vocab = dataset.vocab
     greedy_pairs, prefix_pairs, stats = [], [], []
-    for sample in dataset.split(split):
-        logits, _ = forward(params, sample.features, enc_cfg)
-        dist = softmax_rows(logits)
-        hyp_greedy, _ = greedy_decode(dist, vocab)
-        hyp_prefix = prefix_beam_decode(dist, vocab, beam)
-        greedy_pairs.append((hyp_greedy.labels, sample.labels.labels))
-        prefix_pairs.append((hyp_prefix.labels, sample.labels.labels))
-        stats.append(peak_stats(dist, vocab))
+    for group in _groups(list(dataset.split(split)), enc_cfg):
+        logits, _ = forward_group(params, [s.features for s in group], enc_cfg)
+        for sample, sample_logits in zip(group, logits):
+            dist = softmax_rows(sample_logits)
+            hyp_greedy, _ = greedy_decode(dist, vocab)
+            hyp_prefix = prefix_beam_decode(dist, vocab, beam)
+            greedy_pairs.append((hyp_greedy.labels, sample.labels.labels))
+            prefix_pairs.append((hyp_prefix.labels, sample.labels.labels))
+            stats.append(peak_stats(dist, vocab))
     return EvalReport(
         corpus_token_error_rate(greedy_pairs),
         corpus_token_error_rate(prefix_pairs),

@@ -10,13 +10,12 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, reading, writing
+from .errors import InvalidInputError, reading, writing
 from .logspace import LOG_ZERO, log_of
 
 ROW_SUM_TOL = 1e-9
@@ -221,7 +220,8 @@ class DistributionLattice:
             m = logp.max(axis=1, keepdims=True)
             if np.any(m <= LOG_ZERO):
                 raise InvalidInputError("a row has no probability mass")
-            logp = logp - (m + np.log(np.exp(logp - m).sum(axis=1, keepdims=True)))
+            shifted = logp - m
+            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
             logp[logp < LOG_ZERO] = LOG_ZERO
         probs = np.exp(logp)
         _check_rows(probs)
@@ -262,34 +262,6 @@ def collapse(path: Alignment | Sequence[int], vocab: Vocabulary) -> LabelSequenc
             out.append(idx - 1)
         prev = idx
     return LabelSequence(tuple(out))
-
-
-def inverse_collapse_count(
-    num_frames: int,
-    y: LabelSequence,
-    vocab: Vocabulary,
-    *,
-    max_frames: int = 8,
-    max_extended: int = 4,
-) -> int:
-    """Count alignment paths of length ``num_frames`` that collapse to ``y``.
-
-    Exhaustive enumeration over all extended-vocabulary paths; guarded by
-    size caps because the path count grows as |V'|^T.
-    """
-    if num_frames < 0:
-        raise InvalidInputError("frame count must be non-negative")
-    if num_frames > max_frames or vocab.extended_size > max_extended:
-        raise CapacityError(
-            f"enumeration capped at T <= {max_frames}, |V'| <= {max_extended}"
-        )
-    y.validate_against(vocab)
-    target = tuple(y)
-    count = 0
-    for path in itertools.product(range(vocab.extended_size), repeat=num_frames):
-        if tuple(collapse(path, vocab)) == target:
-            count += 1
-    return count
 
 
 def format_lattice_text(lattice: DistributionLattice) -> str:

@@ -24,10 +24,6 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return prev[-1]
 
 
-def token_error_rate(hyp: Sequence, ref: Sequence) -> float:
-    return levenshtein(tuple(hyp), tuple(ref)) / max(1, len(ref))
-
-
 def corpus_token_error_rate(pairs: Sequence[tuple[Sequence, Sequence]]) -> float:
     """Pooled rate over (hyp, ref) pairs."""
     total_dist = sum(levenshtein(tuple(h), tuple(r)) for h, r in pairs)

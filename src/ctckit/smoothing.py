@@ -12,12 +12,13 @@ target is detached, so the gradient only flows through the prediction side:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import ObjectiveResult, ctc_loss, occupancy_marginals
+# ctc_loss and occupancy_marginals are not called here; perfbench/tracing.py
+# probes them where this module imports them.
+from .ctc import ObjectiveResult, ctc_loss, ctc_objective_group, occupancy_marginals
 from .errors import InvalidInputError
 from .lattice import (
     DistributionLattice,
@@ -72,17 +73,33 @@ def sr_penalty(z: DistributionLattice) -> tuple[float, np.ndarray]:
     return value, grad
 
 
+def sr_objective_group(
+    logits: list[LogitLattice],
+    ys: list[LabelSequence],
+    vocab: Vocabulary,
+    cfg: SrConfig,
+) -> list[ObjectiveResult]:
+    """Smoothness-regularized objective of each sample, evaluated on raw
+    logits; its parts are ``ctc`` and ``sr``. The CTC terms run as one
+    group."""
+    zs = [softmax_rows(lg) for lg in logits]
+    results = []
+    for z, res in zip(zs, ctc_objective_group(zs, ys, vocab)):
+        if not res.feasible:
+            results.append(res)
+            continue
+        penalty, pen_grad = sr_penalty(z)
+        loss = res.loss + cfg.beta * penalty
+        grad = res.grads[0] + cfg.beta * pen_grad
+        results.append(
+            ObjectiveResult(True, loss, (grad,), {"ctc": res.loss, "sr": penalty})
+        )
+    return results
+
+
 def sr_loss_from_logits(
     logits: LogitLattice, y: LabelSequence, vocab: Vocabulary, cfg: SrConfig
 ) -> ObjectiveResult:
-    """Smoothness-regularized objective evaluated on raw logits; its parts
-    are ``ctc`` and ``sr``."""
-    z = softmax_rows(logits)
-    res = ctc_loss(z, y, vocab)
-    if not res.feasible:
-        return ObjectiveResult(False, math.inf, None, {})
-    penalty, pen_grad = sr_penalty(z)
-    ctc_grad = z.probs - occupancy_marginals(z, res)
-    loss = res.loss + cfg.beta * penalty
-    grad = ctc_grad + cfg.beta * pen_grad
-    return ObjectiveResult(True, loss, (grad,), {"ctc": res.loss, "sr": penalty})
+    """Smoothness-regularized objective of one sample
+    (:func:`sr_objective_group` of one)."""
+    return sr_objective_group([logits], [y], vocab, cfg)[0]

@@ -167,6 +167,13 @@ class TestDecodeAnalyze:
         assert main(["decode", "--input", str(lat), "--method", "prefix"]) == 0
         assert capsys.readouterr().out.strip() == "t0 t1"
 
+    def test_decode_huge_finite_log_probabilities(self, tmp_path, capsys):
+        # the row normalizes to [0.5, 0.5, 0]: blank and t0 tie, blank wins
+        lat = tmp_path / "huge.txt"
+        lat.write_text("1 3\n1e308 1e308 0\n")
+        assert main(["decode", "--input", str(lat), "--method", "prefix"]) == 0
+        assert capsys.readouterr().out.strip() == ""
+
     def test_analyze(self, tmp_path, capsys):
         lat = peaked_lattice(tmp_path)
         plot = tmp_path / "plot.csv"

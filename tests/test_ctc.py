@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ctckit import (
     LogitLattice,
     SrConfig,
     Vocabulary,
+    collapse,
     ctc_loss,
     ctc_loss_from_logits,
     ctc_loss_oracle,
@@ -80,6 +82,30 @@ def test_oracle_frozen_values():
         -math.log(0.75), abs=1e-14
     )
     assert ctc_loss_oracle(d, LabelSequence((0, 0)), VA) == math.inf
+
+
+def test_oracle_counts_paths_on_a_uniform_lattice():
+    # every path of a uniform lattice has probability |V'|^-T, so the oracle
+    # reads off how many paths collapse to y
+    def count(T, y):
+        return round(math.exp(-ctc_loss_oracle(uniform_dist(T, 2), LabelSequence(y), VA)) * 2**T)
+
+    # T=2, y="a": paths (a,blank), (blank,a), (a,a)
+    assert count(2, (0,)) == 3
+    # adjacent repeat needs a separating blank: impossible in 2 frames
+    assert ctc_loss_oracle(uniform_dist(2, 2), LabelSequence((0, 0)), VA) == math.inf
+    assert count(3, (0, 0)) == 1
+    assert count(1, ()) == 1
+
+
+def test_oracle_probabilities_sum_to_one():
+    # every path collapses to exactly one label sequence
+    vocab = Vocabulary(("a", "b", "c"))
+    d = random_distribution(np.random.default_rng(4), 4, vocab.extended_size)
+    seen = {tuple(collapse(p, vocab))
+            for p in itertools.product(range(vocab.extended_size), repeat=4)}
+    total = sum(math.exp(-ctc_loss_oracle(d, LabelSequence(y), vocab)) for y in seen)
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_capacity_guard():

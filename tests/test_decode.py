@@ -1,5 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctckit import (
     CapacityError,
@@ -13,6 +17,7 @@ from ctckit.decode import (
     greedy_decode,
     prefix_beam_decode,
 )
+from ctckit.logspace import LOG_ZERO, LOG_ZERO_THRESHOLD, log_add_scalar
 
 from conftest import one_hot_distribution, random_distribution
 
@@ -105,3 +110,73 @@ def test_beam_one_is_still_sound():
     d = random_distribution(rng, 5, 3)
     y = prefix_beam_decode(d, VAB, beam=1)
     assert all(0 <= v < VAB.size for v in y)
+
+
+# The prefix beam search as it was written before it moved to Python floats
+# and (blank, nonblank) tuples: the reference the rewrite must match.
+@dataclass
+class _PrefixMass:
+    blank: float = LOG_ZERO
+    nonblank: float = LOG_ZERO
+
+    def total(self) -> float:
+        return log_add_scalar(self.blank, self.nonblank)
+
+
+def _reference_prefix_beam(dist, vocab, beam):
+    logp = dist.log_probs
+    beams = {(): _PrefixMass(blank=0.0)}
+    for t in range(dist.num_frames):
+        nxt = {}
+
+        def bucket(prefix):
+            entry = nxt.get(prefix)
+            if entry is None:
+                entry = _PrefixMass()
+                nxt[prefix] = entry
+            return entry
+
+        for prefix, mass in beams.items():
+            total = mass.total()
+            lp_blank = logp[t, 0]
+            if lp_blank > LOG_ZERO_THRESHOLD and total > LOG_ZERO_THRESHOLD:
+                entry = bucket(prefix)
+                entry.blank = log_add_scalar(entry.blank, total + lp_blank)
+            for label in range(vocab.size):
+                lp = logp[t, label + 1]
+                if lp <= LOG_ZERO_THRESHOLD:
+                    continue
+                if prefix and prefix[-1] == label:
+                    if mass.nonblank > LOG_ZERO_THRESHOLD:
+                        entry = bucket(prefix)
+                        entry.nonblank = log_add_scalar(entry.nonblank, mass.nonblank + lp)
+                    if mass.blank > LOG_ZERO_THRESHOLD:
+                        entry = bucket(prefix + (label,))
+                        entry.nonblank = log_add_scalar(entry.nonblank, mass.blank + lp)
+                elif total > LOG_ZERO_THRESHOLD:
+                    entry = bucket(prefix + (label,))
+                    entry.nonblank = log_add_scalar(entry.nonblank, total + lp)
+        if not nxt:
+            nxt = beams
+        ranked = sorted(nxt.items(), key=lambda kv: (-kv[1].total(), kv[0]))
+        beams = dict(ranked[:beam])
+    best = min(beams.items(), key=lambda kv: (-kv[1].total(), kv[0]))
+    return LabelSequence(best[0])
+
+
+@settings(max_examples=150)
+@given(
+    frames=st.integers(1, 12),
+    vocab_size=st.integers(1, 4),
+    beam=st.integers(1, 6),
+    zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_beam_matches_the_reference(frames, vocab_size, beam, zero_share, seed):
+    gen = np.random.default_rng(seed)
+    raw = gen.gamma(0.5, 1.0, size=(frames, vocab_size + 1))
+    raw[gen.random(raw.shape) < zero_share] = 0.0
+    raw[raw.sum(axis=1) == 0.0, gen.integers(vocab_size + 1)] = 1.0
+    dist = DistributionLattice.from_probs(raw / raw.sum(axis=1, keepdims=True))
+    vocab = Vocabulary.generic(vocab_size)
+    assert prefix_beam_decode(dist, vocab, beam) == _reference_prefix_beam(dist, vocab, beam)

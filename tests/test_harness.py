@@ -224,6 +224,17 @@ class TestRunRecord:
         with pytest.raises(InvalidInputError):
             RunRecord.from_json(json.dumps({"objective": "ctc"}))
 
+    @pytest.mark.parametrize("field,value", [
+        ("config", []), ("seed", "0"), ("seed", True), ("loss_curve", ["x"]),
+        ("test_prefix_ter", None),
+    ])
+    def test_wrong_field_type_rejected_at_load(self, tiny_flat, tiny_ds, field, value):
+        record, _ = run_experiment("ctc", tiny_flat, seed=0, dataset=tiny_ds)
+        payload = json.loads(record.to_json())
+        payload[field] = value
+        with pytest.raises(InvalidInputError, match=field):
+            RunRecord.from_json(json.dumps(payload))
+
 
 class TestSweep:
     def test_alpha_axis(self, tmp_path, tiny_flat, tiny_ds):

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from ctckit import (
     Alignment,
-    CapacityError,
     DistributionLattice,
     InvalidInputError,
     LabelSequence,
     LogitLattice,
     Vocabulary,
     collapse,
-    inverse_collapse_count,
     load_lattice_text,
     save_lattice_text,
     softmax_rows,
@@ -98,39 +96,6 @@ def test_collapse_properties(path):
     # duplicating every frame never changes the collapsed sequence
     doubled = [v for v in path for _ in range(2)]
     assert tuple(collapse(doubled, VOCAB_AB)) == tuple(y)
-
-
-def test_inverse_collapse_count_frozen_values():
-    va = Vocabulary(("a",))
-    # T=2, y="a": paths (a,blank), (blank,a), (a,a)
-    assert inverse_collapse_count(2, LabelSequence((0,)), va) == 3
-    # adjacent repeat needs a separating blank: impossible in 2 frames
-    assert inverse_collapse_count(2, LabelSequence((0, 0)), va) == 0
-    assert inverse_collapse_count(3, LabelSequence((0, 0)), va) == 1
-    assert inverse_collapse_count(1, LabelSequence(()), va) == 1
-    assert inverse_collapse_count(0, LabelSequence(()), va) == 1
-
-
-def test_inverse_collapse_count_matches_brute_totals():
-    # all paths of length T split across collapsed sequences
-    va = Vocabulary(("a", "b", "c"))
-    T = 4
-    total = 0
-    seen = set()
-    import itertools
-
-    for path in itertools.product(range(va.extended_size), repeat=T):
-        seen.add(tuple(collapse(path, va)))
-    for y in seen:
-        total += inverse_collapse_count(T, LabelSequence(y), va)
-    assert total == va.extended_size**T
-
-
-def test_inverse_collapse_count_capacity_guard():
-    with pytest.raises(CapacityError):
-        inverse_collapse_count(9, LabelSequence((0,)), VOCAB_AB)
-    with pytest.raises(CapacityError):
-        inverse_collapse_count(2, LabelSequence((0,)), Vocabulary(("a", "b", "c", "d")))
 
 
 def test_distribution_validation():

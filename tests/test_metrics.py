@@ -5,7 +5,7 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctckit.metrics import corpus_token_error_rate, levenshtein, token_error_rate
+from ctckit.metrics import corpus_token_error_rate, levenshtein
 
 seqs = st.lists(st.integers(0, 4), max_size=8)
 
@@ -36,18 +36,19 @@ class TestLevenshtein:
 
 
 class TestTokenErrorRate:
+    # one (hyp, ref) pair: the corpus rate is that pair's rate
     def test_identical_zero(self):
-        assert token_error_rate((1, 2, 3), (1, 2, 3)) == 0.0
+        assert corpus_token_error_rate([((1, 2, 3), (1, 2, 3))]) == 0.0
 
     def test_one_substitution(self):
-        assert math.isclose(token_error_rate((0, 9, 2), (0, 1, 2)), 1.0 / 3.0)
+        assert math.isclose(corpus_token_error_rate([((0, 9, 2), (0, 1, 2))]), 1.0 / 3.0)
 
     def test_empty_ref_empty_hyp(self):
-        assert token_error_rate((), ()) == 0.0
+        assert corpus_token_error_rate([((), ())]) == 0.0
 
     def test_empty_ref_nonempty_hyp(self):
         # insertions against an empty reference divide by max(1, 0)
-        assert token_error_rate((1, 2), ()) == 2.0
+        assert corpus_token_error_rate([((1, 2), ())]) == 2.0
 
     def test_corpus_pools_lengths(self):
         pairs = [((1,), (1, 2, 3)), ((4, 5, 6), (4, 5, 6))]

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts as a user starts them."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,21 @@ def test_fingerprint_smoke():
         "ctc", "sr_ctc", "cr_ctc", "cr_ctc_hard_label"
     ]
     assert runs[1].stdout.splitlines() == lines
+
+
+def test_paired_bench_smoke(tmp_path):
+    # one A/A pair: this tree against itself
+    out = tmp_path / "bench.json"
+    root = SCRIPTS.parent
+    cmd = [sys.executable, str(SCRIPTS / "paired_bench.py"), "--parent", str(root),
+           "--pairs", "1", "--workload", "train_ctc", "--seconds", "0",
+           "--size", "tiny", "--out", str(out)]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert [(r["side"], r["correct"]) for r in report["runs"]] == [
+        ("parent", True), ("change", True)]
+    rows = report["summary"]["train_ctc"]
+    assert rows["test_prefix_ter"]["ratio_of_medians"] == 1.0
+    assert rows["ok_frac"]["change_win_share"] == 0.0
+    assert set(rows["train_utts_per_s"]["parent"]) == {"q1", "median", "q3"}
